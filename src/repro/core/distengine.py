@@ -22,8 +22,7 @@ serial loop and the assembled matrix is bit-identical to it (given a
 deterministic distance callable).  There is no cross-pair reduction whose
 order could differ.  The batched kernel path is likewise bit-identical:
 per bank row the vectorized DP performs exactly the serial DP's
-elementwise operations (see :mod:`repro.core.kernels`), and
-``REPRO_DTW_KERNELS=0`` disables the routing to prove it.
+elementwise operations (see :mod:`repro.core.kernels`).
 
 Parallel execution uses the ``fork`` start method so non-picklable
 distance callables (the experiments use parameter-capturing lambdas) and
@@ -398,11 +397,9 @@ class DistanceEngine:
         operands.  Bit-identical to the per-pair loop, and fast enough
         that it is preferred over the process pool whenever available.
         """
-        from repro.core.kernels import PenaltyDtw, kernels_enabled
+        from repro.core.kernels import PenaltyDtw
 
-        if not isinstance(distance, PenaltyDtw) or not kernels_enabled():
-            return None
-        if len(pairs) < 2:
+        if not isinstance(distance, PenaltyDtw) or len(pairs) < 2:
             return None
         groups: Dict[int, List[Tuple[int, int]]] = {}
         for idx, (i, j) in enumerate(pairs):

@@ -53,15 +53,13 @@ so pruning power is unaffected).  An abandoned candidate reports ``inf``
 nearest-neighbor argmins (including first-minimum tie-breaking) and the
 returned best distances are identical to a naive full scan.
 
-``REPRO_DTW_KERNELS=0`` in the environment disables the batched routing
-inside :class:`~repro.core.distengine.DistanceEngine` (per-pair serial
-calls instead); results are identical either way — the toggle exists so
-CI can assert exactly that.
+:class:`~repro.core.distengine.DistanceEngine` always routes
+:class:`PenaltyDtw` matrices through the batched kernels; the per-pair
+serial DP stays the oracle the tests compare them against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,24 +73,10 @@ __all__ = [
     "argmin_distance",
     "dtw_distance_pruned",
     "dtw_one_to_many",
-    "kernels_enabled",
     "l1_prefix_distances",
     "lb_one_to_many",
     "lb_penalty_dtw",
 ]
-
-#: Environment variable gating the batched kernel routing (default on).
-KERNELS_ENV = "REPRO_DTW_KERNELS"
-
-
-def kernels_enabled() -> bool:
-    """Whether batched kernel routing is enabled (``REPRO_DTW_KERNELS``).
-
-    Read at call time so tests and CI determinism checks can flip it
-    per-invocation; only the *routing* changes, never the results.
-    """
-    return os.environ.get(KERNELS_ENV, "1") != "0"
-
 
 class PaddedBank:
     """A bank of variable-length sequences as one zero-padded 2-D matrix.

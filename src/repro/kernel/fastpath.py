@@ -30,21 +30,18 @@ bit for bit.  The restructurings:
   batches is impossible under byte-identity (every event must advance
   every busy core at its own timestamp, in order), so the batching is
   control-flow elision, not arithmetic fusion — see ``docs/perf.md``.
-* **memoized pure kernels** — contention rate sets
-  (:func:`~repro.hardware.cpu.compute_effective_rates`) and sampling cost
-  snapshots are pure functions of hashable inputs; both are memoized per
-  run with bounded caches.  Timer resets and RNG draws still run on every
-  recompute — only the *values* are cached, never the side effects.
+* **memoized sampling costs** — sampling cost snapshots are pure
+  functions of the sampling context and the phase's cache footprint and
+  are memoized per run in a bounded cache.  Contention rates are
+  recomputed on every event: jittered phase behaviors make their inputs
+  almost never recur, so a cache would not pay.
 
-``REPRO_SIM_FASTPATH=0`` in the environment routes plain
-``ServerSimulator(...)`` constructions back to the reference loop
-(mirroring the ``REPRO_DTW_KERNELS`` kill switch); results are identical
-either way — the toggle exists so CI can assert exactly that.
+Every plain ``ServerSimulator(...)`` construction returns this engine;
+:class:`ReferenceSimulator` is the oracle the differential tests build
+explicitly.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -63,8 +60,6 @@ from repro.kernel.syscalls import next_rate_syscall_cycles
 from repro.kernel.task import TaskState
 from repro.kernel.tracker import PeriodRecord
 
-FASTPATH_ENV = "REPRO_SIM_FASTPATH"
-
 #: Calendar rows in event-priority order; row index = priority - 1
 #: (arrivals, priority 0, live in the pending-arrival heap instead).
 _CALENDAR_KINDS = ("phase_end", "quantum_end", "resched", "interrupt", "ratecall")
@@ -74,21 +69,9 @@ _ROW_RESCHED = 2
 _ROW_INTERRUPT = 3
 _ROW_RATECALL = 4
 
-#: Bounded memo sizes (cleared on overflow, never evicted piecemeal).
+#: Bounded sampling-cost memo size (cleared on overflow, never evicted
+#: piecemeal).
 _MEMO_CAP = 4096
-#: Distinct whole-run rate keys tolerated with zero hits before the
-#: rates memo concludes behavior sets never recur and turns itself off.
-_RATES_MEMO_PROBATION = 256
-
-
-def fastpath_enabled() -> bool:
-    """Whether plain constructions route to the fast path.
-
-    Read at construction time, so tests can flip the environment
-    per-simulator.  ``REPRO_SIM_FASTPATH=0`` disables; anything else
-    (including unset) enables.
-    """
-    return os.environ.get(FASTPATH_ENV, "1") != "0"
 
 
 class _FastCoreRun(_CoreRun):
@@ -229,21 +212,6 @@ class FastpathSimulator(ServerSimulator):
         self._dl_flat = deadlines.reshape(-1)
         self._ncores = ncores
         self.cores = [_FastCoreRun(i, deadlines) for i in range(ncores)]
-        self._rates_memo = {}
-        # Whole-key rate memoization only pays when behavior sets recur
-        # (mbench's constant behaviors).  Jittered server phases make
-        # every key unique, so the per-event key build, probe, store, and
-        # periodic clears are pure overhead there: workloads declare that
-        # via ``jittered_behaviors``, and unlabeled workloads fall back
-        # to a runtime probation (_RATES_MEMO_PROBATION distinct keys
-        # with zero hits turns the memo off for good).  Purely a caching
-        # decision: rates are recomputed identically either way.
-        self._rates_memo_enabled = not getattr(
-            workload, "jittered_behaviors", False
-        )
-        self._rates_memo_hits = 0
-        self._pressure_memo = {}
-        self._contention_memo = {}
         self._cost_memo_ik = {}
         self._cost_memo_int = {}
         self._miss_penalty = self.machine.l2_miss_penalty_cycles
@@ -753,33 +721,7 @@ class FastpathSimulator(ServerSimulator):
             task = core.task
             if task is not None:
                 behaviors[core.cid] = core.phases[task.phase_index].behavior
-        # Cores iterate in id order, so the (cid, id(behavior)) tuple is a
-        # canonical key with a cheap int hash.  The memo value pins the
-        # behavior objects, so an id in a live key can never be recycled
-        # to a different behavior.  Only the pure rate values are memoized
-        # — the per-core timer updates below (and their RNG draws) run on
-        # every recompute, exactly as in the reference.
-        if self._rates_memo_enabled:
-            key = tuple((cid, id(b)) for cid, b in behaviors.items())
-            entry = self._rates_memo.get(key)
-            if entry is None:
-                rates = self._compute_rates(behaviors)
-                memo = self._rates_memo
-                if len(memo) >= _RATES_MEMO_PROBATION and not self._rates_memo_hits:
-                    # Hundreds of distinct keys and not one reuse: this
-                    # run's behavior sets never recur (jittered server
-                    # phases make them unique).  Stop keying for good.
-                    self._rates_memo_enabled = False
-                    memo.clear()
-                elif len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                else:
-                    memo[key] = (tuple(behaviors.values()), rates)
-            else:
-                self._rates_memo_hits += 1
-                rates = entry[1]
-        else:
-            rates = self._compute_rates(behaviors)
+        rates = self._compute_rates(behaviors)
         dl = self._dl
         wants_syscall = self._wants_syscall
         for core in self.cores:
@@ -807,23 +749,12 @@ class FastpathSimulator(ServerSimulator):
         Bit-identical by construction: every accumulation (peer-pressure
         sums, per-domain bus totals) runs in the reference's exact order
         with the reference's exact start values, and the cache/bus model
-        methods are invoked with the same arguments — just behind
-        per-behavior and per-(behavior, co-pressure) memos, which is
-        sound because the models are frozen and the functions pure.
+        methods are invoked with the same arguments.
         """
         cache = self.config.cache
         bus = self.config.bus
         penalty_base = self._miss_penalty
-        pressure_memo = self._pressure_memo
-        contention_memo = self._contention_memo
 
-        # The inner memos key on id(behavior): PhaseBehavior's frozen-
-        # dataclass __hash__ recomputes a field-tuple hash on every lookup,
-        # and these dicts are probed several times per event.  id keys are
-        # sound because the pressure memo holds a strong reference to each
-        # behavior it has seen (so its id cannot be recycled while an entry
-        # exists), and the contention memo — whose keys borrow those ids —
-        # is cleared whenever the pressure memo is.
         # cid-indexed lists (None/0.0 for idle cores): iteration below is
         # always in ascending cid order — the reference's core order — so
         # every float accumulation is performed in the identical sequence,
@@ -832,24 +763,12 @@ class FastpathSimulator(ServerSimulator):
         pressures = [None] * ncores
         solo_cpis = [0.0] * ncores
         for cid, behavior in behaviors.items():
-            bid = id(behavior)
-            entry = pressure_memo.get(bid)
-            if entry is None:
-                entry = (
-                    behavior,
-                    phase_pressure(
-                        behavior.l2_refs_per_ins,
-                        behavior.base_cpi,
-                        behavior.cache_footprint,
-                    ),
-                    behavior.solo_cpi(penalty_base),
-                )
-                if len(pressure_memo) >= _MEMO_CAP:
-                    pressure_memo.clear()
-                    contention_memo.clear()
-                pressure_memo[bid] = entry
-            pressures[cid] = entry[1]
-            solo_cpis[cid] = entry[2]
+            pressures[cid] = phase_pressure(
+                behavior.l2_refs_per_ins,
+                behavior.base_cpi,
+                behavior.cache_footprint,
+            )
+            solo_cpis[cid] = behavior.solo_cpi(penalty_base)
 
         contention = [None] * ncores
         bus_totals = {}
@@ -861,26 +780,16 @@ class FastpathSimulator(ServerSimulator):
                 peer_pressure = pressures[peer]
                 if peer_pressure is not None:
                     co_pressure = co_pressure + peer_pressure
-            ckey = (id(behavior), co_pressure)
-            entry = contention_memo.get(ckey)
-            if entry is None:
-                miss_ratio = cache.effective_miss_ratio(
-                    behavior.l2_miss_ratio, behavior.cache_footprint, co_pressure
-                )
-                ref_rate = cache.effective_ref_rate(
-                    behavior.l2_refs_per_ins, co_pressure
-                )
-                entry = (
-                    miss_ratio,
-                    ref_rate,
-                    bus.miss_traffic(ref_rate, miss_ratio, solo_cpis[cid]),
-                )
-                if len(contention_memo) >= _MEMO_CAP:
-                    contention_memo.clear()
-                contention_memo[ckey] = entry
-            contention[cid] = entry
+            miss_ratio = cache.effective_miss_ratio(
+                behavior.l2_miss_ratio, behavior.cache_footprint, co_pressure
+            )
+            ref_rate = cache.effective_ref_rate(
+                behavior.l2_refs_per_ins, co_pressure
+            )
+            traffic = bus.miss_traffic(ref_rate, miss_ratio, solo_cpis[cid])
+            contention[cid] = (miss_ratio, ref_rate, traffic)
             domain = self._bus_domains[cid]
-            bus_totals[domain] = bus_totals.get(domain, 0.0) + entry[2]
+            bus_totals[domain] = bus_totals.get(domain, 0.0) + traffic
 
         gamma = self._bus_gamma
         beta = self._bus_beta
@@ -939,10 +848,9 @@ class FastpathSimulator(ServerSimulator):
 
 
 class ReferenceSimulator(ServerSimulator):
-    """The reference event loop, pinned regardless of the environment.
+    """The reference event loop: the oracle for :class:`FastpathSimulator`.
 
-    Construct this class directly to bypass the ``__new__`` routing —
-    the differential suite and the speed benchmark compare
-    :class:`FastpathSimulator` against it without touching the
-    environment.
+    Plain ``ServerSimulator(...)`` constructions always return the fast
+    path; construct this class directly to run the reference loop — the
+    differential suite and the speed benchmark compare the two.
     """

@@ -231,19 +231,18 @@ class _DispatchView:
 class ServerSimulator:
     """Discrete-event simulation of one workload on the machine.
 
-    Plain constructions route to the structure-of-arrays fast path
-    (:class:`repro.kernel.fastpath.FastpathSimulator`) unless
-    ``REPRO_SIM_FASTPATH=0`` pins this reference loop — mirroring the
-    ``REPRO_DTW_KERNELS`` kill switch.  Both paths are byte-identical;
-    the fastpath differential suite and a CI determinism step assert it.
+    Plain constructions return the structure-of-arrays fast path
+    (:class:`repro.kernel.fastpath.FastpathSimulator`).  This class holds
+    the reference loop, which
+    :class:`~repro.kernel.fastpath.ReferenceSimulator` runs unmodified;
+    the fastpath differential suite asserts the two are byte-identical.
     """
 
     def __new__(cls, workload=None, config=None):
         if cls is ServerSimulator:
-            from repro.kernel.fastpath import FastpathSimulator, fastpath_enabled
+            from repro.kernel.fastpath import FastpathSimulator
 
-            if fastpath_enabled():
-                return object.__new__(FastpathSimulator)
+            return object.__new__(FastpathSimulator)
         return object.__new__(cls)
 
     def __init__(self, workload: WorkloadGenerator, config: SimConfig):

@@ -434,7 +434,17 @@ async def _kill_after_checkpoint(pool: WorkerPool, kill: KillSpec) -> None:
         except FileNotFoundError:
             written = []
         if len(written) >= kill.after_checkpoints:
+            restarts = pool.restarts[kill.shard]
             pool.kill(kill.shard)
+            # Return only once the replacement is serving: a kill that
+            # lands after the streams end would otherwise race the
+            # report collection against the dead worker's socket.
+            deadline = time.monotonic() + 20.0
+            while pool.restarts[kill.shard] == restarts:
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(f"worker {kill.shard} was never restarted")
+                await asyncio.sleep(0.01)
+            await wait_for_socket(pool.config.socket_path(kill.shard))
             return
         await asyncio.sleep(0.01)
 

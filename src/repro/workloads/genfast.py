@@ -1,13 +1,14 @@
-"""Generation fast path: batched RNG, interned templates, block-ahead specs.
+"""Generation fast path: batched RNG, compiled templates, block-ahead specs.
 
 Request *generation* — not the event loop — bounds the simulator's
 end-to-end speed on the server workloads: every reference request draws
 two or three scalar normals per phase and rebuilds frozen
 ``Phase``/``PhaseBehavior``/``RequestSpec`` dataclasses from scratch.
 This module removes that bound under the same contract as the simulator
-fast path (`REPRO_GEN_FASTPATH=0` restores the reference generators;
-differential tests pin byte-identity of event JSONL, traces, and latency
-records).  Three layers:
+fast path: :func:`~repro.workloads.registry.make_workload` always returns
+these generators, and differential tests pin byte-identity of specs,
+event JSONL, traces, and latency records against the reference
+generators they subclass.  Three layers:
 
 * **batched RNG** — each request kind's phase-def plan (the same
   :class:`~repro.workloads.util.PhaseDef` tables the reference
@@ -19,18 +20,15 @@ records).  Three layers:
   downstream float are unchanged.  Mid-plan draws that *gate* structure
   (tpcc's item count, rubis's GC coin flips, every kind/catalog pick)
   stay scalar at their reference positions.
-* **interned phase templates** — constant fields live in the compiled
+* **compiled phase templates** — constant fields live in the compiled
   block; per-request values are stamped into lightweight ``__slots__``
   spec objects (:class:`FastPhase`/:class:`FastStage`/
-  :class:`FastRequestSpec`) instead of re-validated frozen dataclasses.
-  :class:`BehaviorInterner` guarantees value-equal behaviors share one
-  object identity, so the simulator fast path's id-keyed
-  sample-cost/pressure/contention memos hit whenever values recur
-  instead of missing on equal-but-distinct objects.  Skipping dataclass
-  validation is sound because every def's nominal values are validated
-  through the reference constructor at template build, and the jitter
-  floors (``max(0.5·nominal, ...)``) keep stamped values in the
-  validated domain.
+  :class:`FastRequestSpec`) and :class:`PhaseBehavior` objects built
+  without re-running dataclass validation.  Skipping validation is
+  sound because every def's nominal values are validated through the
+  reference constructor at template build, and the jitter floors
+  (``max(0.5·nominal, ...)``) keep stamped values in the validated
+  domain.
 * **block-ahead synthesis** — when the arrival side exposes its
   schedule (every eager arrival process; closed loops trivially), the
   simulator calls :meth:`prepare_block` to synthesize the next N specs
@@ -43,7 +41,6 @@ records).  Three layers:
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 import numpy as np
@@ -72,15 +69,6 @@ from repro.workloads.webserver import (
     request_phase_defs,
 )
 from repro.workloads.webwork import NUM_PROBLEMS, WeBWorKWorkload, problem_phase_defs
-
-#: Environment kill switch (read per construction, like the sim fast path).
-GEN_FASTPATH_ENV = "REPRO_GEN_FASTPATH"
-
-
-def gen_fastpath_enabled() -> bool:
-    """Whether workload construction routes to the fast generators."""
-    return os.environ.get(GEN_FASTPATH_ENV, "1") != "0"
-
 
 class FastPhase:
     """``__slots__`` stand-in for :class:`Phase` on the generation path."""
@@ -148,43 +136,6 @@ class FastRequestSpec:
     solo_series = RequestSpec.solo_series
 
 
-#: Interner table bound above which the table is dropped and rebuilt.
-#: Safe because the sim fast path's memos pin their own strong refs to
-#: any behavior object they key by id.
-_INTERN_CAP = 1 << 16
-
-
-class BehaviorInterner:
-    """Value-keyed :class:`PhaseBehavior` interner.
-
-    ``get`` returns *the same object* for equal field values, giving the
-    sim fast path's id-keyed memos identity stability across requests.
-    Construction bypasses the frozen-dataclass ``__init__`` (and its
-    validation): templates validate nominal values at build time and the
-    jitter floors guarantee stamped cpi/refs stay positive/non-negative,
-    so the domain checks cannot fire.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self):
-        self._table = {}
-
-    def get(self, base_cpi, l2_refs_per_ins, l2_miss_ratio, cache_footprint):
-        key = (base_cpi, l2_refs_per_ins, l2_miss_ratio, cache_footprint)
-        behavior = self._table.get(key)
-        if behavior is None:
-            if len(self._table) >= _INTERN_CAP:
-                self._table.clear()
-            behavior = PhaseBehavior.__new__(PhaseBehavior)
-            object.__setattr__(behavior, "base_cpi", base_cpi)
-            object.__setattr__(behavior, "l2_refs_per_ins", l2_refs_per_ins)
-            object.__setattr__(behavior, "l2_miss_ratio", l2_miss_ratio)
-            object.__setattr__(behavior, "cache_footprint", cache_footprint)
-            self._table[key] = behavior
-        return behavior
-
-
 def _choice_cdf(p) -> np.ndarray:
     """The cumulative table ``Generator.choice(n, p=p)`` searches.
 
@@ -233,10 +184,9 @@ class PhaseBlock:
         "_entry",
         "_rate",
         "_pool",
-        "_intern",
     )
 
-    def __init__(self, defs, intern: BehaviorInterner):
+    def __init__(self, defs):
         base, frac = [], []
         ins_at, cpi_at, refs_at = [], [], []
         refs_const, refs_jittered = [], []
@@ -287,7 +237,6 @@ class PhaseBlock:
         self._entry = tuple(d.entry for d in defs)
         self._rate = tuple(d.rate for d in defs)
         self._pool = tuple(d.pool for d in defs)
-        self._intern = intern
 
     def stamp(self, rng: np.random.Generator) -> list:
         """Materialize one request's phases from a single block draw."""
@@ -299,7 +248,6 @@ class PhaseBlock:
         cpi_vals = j[self._cpi_at].tolist()
         refs_vals = j[self._refs_at].tolist()
 
-        intern_get = self._intern.get
         phases = []
         append = phases.append
         refs_cursor = 0
@@ -307,25 +255,32 @@ class PhaseBlock:
         refs_jittered = self._refs_jittered
         miss, footprint = self._miss, self._footprint
         names, entry, rate, pool = self._names, self._entry, self._rate, self._pool
+        new_behavior = PhaseBehavior.__new__
+        set_field = object.__setattr__
         for k in range(self.n):
             if refs_jittered[k]:
                 refs = refs_vals[refs_cursor]
                 refs_cursor += 1
             else:
                 refs = refs_const[k]
-            behavior = intern_get(cpi_vals[k], refs, miss[k], footprint[k])
+            # Bypasses the frozen dataclass's validating __init__: the
+            # template probe and the jitter floors keep values in domain.
+            behavior = new_behavior(PhaseBehavior)
+            set_field(behavior, "base_cpi", cpi_vals[k])
+            set_field(behavior, "l2_refs_per_ins", refs)
+            set_field(behavior, "l2_miss_ratio", miss[k])
+            set_field(behavior, "cache_footprint", footprint[k])
             append(
                 FastPhase(names[k], ins_vals[k], behavior, entry[k], rate[k], pool[k])
             )
         return phases
 
 
-#: Shared interner + compiled-template store.  Templates are pure
-#: functions of their key (the def tables are deterministic constants,
-#: and the webserver key includes the catalog seed), so instances share
-#: them: repeated workload constructions in one process — experiment
-#: sweeps, benchmarks — skip recompilation entirely.
-_SHARED_INTERN = BehaviorInterner()
+#: Shared compiled-template store.  Templates are pure functions of their
+#: key (the def tables are deterministic constants, and the webserver key
+#: includes the catalog seed), so instances share them: repeated workload
+#: constructions in one process — experiment sweeps, benchmarks — skip
+#: recompilation entirely.
 _TEMPLATE_CACHE: dict = {}
 
 
@@ -371,7 +326,7 @@ class _BlockAheadMixin:
 
 
 class FastWebServerWorkload(_BlockAheadMixin, WebServerWorkload):
-    """Batched-generation webserver: per-file interned phase templates."""
+    """Batched-generation webserver: per-file compiled phase templates."""
 
     def __init__(self, catalog_seed: int = 909_009):
         super().__init__(catalog_seed)
@@ -385,8 +340,7 @@ class FastWebServerWorkload(_BlockAheadMixin, WebServerWorkload):
         cls_name = FILE_CLASSES[cls_idx][0]
         file_bytes, file_seed = self._catalog[cls_name][file_idx]
         block = PhaseBlock(
-            request_phase_defs(file_bytes, file_fingerprint(file_seed)),
-            _SHARED_INTERN,
+            request_phase_defs(file_bytes, file_fingerprint(file_seed))
         )
         return (block, cls_name, file_bytes, f"{cls_name}/{file_idx}")
 
@@ -415,13 +369,13 @@ class FastTpccWorkload(_BlockAheadMixin, TpccWorkload):
         self._fixed = {
             kind: _cached(
                 ("tpcc", kind),
-                lambda k=kind: PhaseBlock(transaction_phase_defs(k), _SHARED_INTERN),
+                lambda k=kind: PhaseBlock(transaction_phase_defs(k)),
             )
             for kind in ("payment", "order_status", "delivery", "stock_level")
         }
         self._new_order_head = _cached(
             ("tpcc", "new_order_head"),
-            lambda: PhaseBlock(NEW_ORDER_HEAD, _SHARED_INTERN),
+            lambda: PhaseBlock(NEW_ORDER_HEAD),
         )
 
     def _synthesize(self, rng, request_id):
@@ -432,7 +386,7 @@ class FastTpccWorkload(_BlockAheadMixin, TpccWorkload):
             n_items = int(rng.integers(8, 13))
             body = _cached(
                 ("tpcc", "new_order_body", n_items),
-                lambda: PhaseBlock(new_order_body_defs(n_items), _SHARED_INTERN),
+                lambda: PhaseBlock(new_order_body_defs(n_items)),
             )
             phases += body.stamp(rng)
         else:
@@ -443,7 +397,7 @@ class FastTpccWorkload(_BlockAheadMixin, TpccWorkload):
 
 
 class FastTpchWorkload(_BlockAheadMixin, TpchWorkload):
-    """Batched-generation TPC-H: one interned block per query kind."""
+    """Batched-generation TPC-H: one compiled block per query kind."""
 
     def __init__(self):
         self._block = deque()
@@ -452,7 +406,7 @@ class FastTpchWorkload(_BlockAheadMixin, TpchWorkload):
         kind = self.kinds[int(rng.integers(len(self.kinds)))]
         block = _cached(
             ("tpch", kind),
-            lambda: PhaseBlock(query_phase_defs(kind), _SHARED_INTERN),
+            lambda: PhaseBlock(query_phase_defs(kind)),
         )
         return FastRequestSpec(
             request_id, self.name, kind, (FastStage("mysql", block.stamp(rng)),), {}
@@ -471,12 +425,12 @@ class FastRubisWorkload(_BlockAheadMixin, RubisWorkload):
     def _build_template(idx):
         head, comp_pairs, tail = interaction_segments(idx)
         return (
-            PhaseBlock(head, _SHARED_INTERN),
+            PhaseBlock(head),
             tuple(
-                (PhaseBlock((c,), _SHARED_INTERN), PhaseBlock((g,), _SHARED_INTERN))
+                (PhaseBlock((c,)), PhaseBlock((g,)))
                 for c, g in comp_pairs
             ),
-            PhaseBlock(tail, _SHARED_INTERN),
+            PhaseBlock(tail),
         )
 
     def _synthesize(self, rng, request_id):
@@ -512,7 +466,7 @@ class FastRubisWorkload(_BlockAheadMixin, RubisWorkload):
 
 
 class FastWeBWorKWorkload(_BlockAheadMixin, WeBWorKWorkload):
-    """Batched-generation WeBWorK: one interned block per problem id."""
+    """Batched-generation WeBWorK: one compiled block per problem id."""
 
     def __init__(self):
         self._block = deque()
@@ -521,7 +475,7 @@ class FastWeBWorKWorkload(_BlockAheadMixin, WeBWorKWorkload):
         problem_id = int(rng.integers(NUM_PROBLEMS))
         block = _cached(
             ("webwork", problem_id),
-            lambda: PhaseBlock(problem_phase_defs(problem_id), _SHARED_INTERN),
+            lambda: PhaseBlock(problem_phase_defs(problem_id)),
         )
         return FastRequestSpec(
             request_id,

@@ -7,20 +7,13 @@ from typing import Tuple
 from repro.faults.schedule import ScheduledFaultWorkload, parse_fault_schedule
 from repro.faults.taxonomy import FAULT_TAXONOMY
 from repro.obs.profiling import profiled_stage
-from repro.workloads.genfast import FAST_FACTORIES, gen_fastpath_enabled
+from repro.workloads.genfast import FAST_FACTORIES
 from repro.workloads.microbench import MbenchData, MbenchSpin
-from repro.workloads.rubis import RubisWorkload
-from repro.workloads.tpcc import TpccWorkload
-from repro.workloads.tpch import TpchWorkload
-from repro.workloads.webserver import WebServerWorkload
-from repro.workloads.webwork import WeBWorKWorkload
 
+#: The server applications use the batched fast generators; their
+#: reference generators are the oracles the differential tests build.
 _FACTORIES = {
-    "webserver": WebServerWorkload,
-    "tpcc": TpccWorkload,
-    "tpch": TpchWorkload,
-    "rubis": RubisWorkload,
-    "webwork": WeBWorKWorkload,
+    **FAST_FACTORIES,
     "mbench_spin": MbenchSpin,
     "mbench_data": MbenchData,
 }
@@ -43,10 +36,6 @@ def make_workload(name: str):
             f"unknown workload {name!r}; available: {sorted(_FACTORIES)}"
         ) from None
     with profiled_stage("generate"):
-        if gen_fastpath_enabled():
-            fast = FAST_FACTORIES.get(name)
-            if fast is not None:
-                return fast()
         return factory()
 
 

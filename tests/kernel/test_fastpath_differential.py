@@ -16,9 +16,10 @@ sampling techniques (interrupt rows, ratecall rows, the trigger
 predicate), open- vs. closed-loop arrivals, non-trivial dispatch, the
 contention-easing scheduler (resched events), bounded-admission
 overload (shedding), and distributed tier placement (network hand-off
-events).  The workload grid additionally crosses the generation fast
-path (``REPRO_GEN_FASTPATH`` on/off), so every cell is checked with
-both the batched and the reference request synthesizers.
+events).  The workload grid additionally crosses the two generation
+engines, so every cell is checked with both the shipped batched
+generators and the reference generators built explicitly from
+:mod:`tests.oracles`.
 """
 
 import itertools
@@ -28,12 +29,7 @@ import pytest
 
 from repro.hardware.platform import cluster_machine
 from repro.kernel.contention import ContentionEasingScheduler
-from repro.kernel.fastpath import (
-    FASTPATH_ENV,
-    FastpathSimulator,
-    ReferenceSimulator,
-    fastpath_enabled,
-)
+from repro.kernel.fastpath import FastpathSimulator, ReferenceSimulator
 from repro.kernel.sampling import SamplingMode, SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.obs.trace import TraceCollector, events_to_jsonl
@@ -45,17 +41,13 @@ from repro.traffic import (
     RandomDispatch,
     TrafficConfig,
 )
-from repro.workloads.genfast import (
-    GEN_FASTPATH_ENV,
-    FastTpccWorkload,
-    gen_fastpath_enabled,
-)
+from repro.workloads.genfast import FastTpccWorkload
 from repro.workloads.registry import (
     available_workloads,
     make_faulted_workload,
     make_workload,
 )
-from repro.workloads.tpcc import TpccWorkload
+from tests.oracles import make_reference_faulted_workload, make_reference_workload
 
 TRACE_FIELDS = (
     "start",
@@ -81,7 +73,15 @@ SAMPLING_POLICIES = {
 }
 
 
-def _run(sim_cls, workload_name, config_factory, faults=None, **config_kwargs):
+#: Generation engine -> (plain constructor, faulted constructor).
+GEN_ENGINES = {
+    "gen_fast": (make_workload, make_faulted_workload),
+    "gen_ref": (make_reference_workload, make_reference_faulted_workload),
+}
+
+
+def _run(sim_cls, workload_name, config_factory, faults=None, gen="gen_fast",
+         **config_kwargs):
     collector = TraceCollector(capacity=500_000)
     config_kwargs.setdefault("num_requests", 20)
     config_kwargs.setdefault("seed", 7)
@@ -90,11 +90,8 @@ def _run(sim_cls, workload_name, config_factory, faults=None, **config_kwargs):
         # reference run never sees state the fastpath run accumulated.
         config_kwargs.update(config_factory())
     config = SimConfig(collector=collector, **config_kwargs)
-    workload = (
-        make_faulted_workload(workload_name, faults)
-        if faults
-        else make_workload(workload_name)
-    )
+    plain, faulted = GEN_ENGINES[gen]
+    workload = faulted(workload_name, faults) if faults else plain(workload_name)
     result = sim_cls(workload, config).run()
     return result, collector
 
@@ -112,14 +109,14 @@ def _latency_fingerprint(store):
 
 
 def assert_identical(workload_name, config_factory=None, faults=None,
-                     **config_kwargs):
+                     gen="gen_fast", **config_kwargs):
     fast, fast_col = _run(
         FastpathSimulator, workload_name, config_factory, faults=faults,
-        **config_kwargs
+        gen=gen, **config_kwargs
     )
     ref, ref_col = _run(
         ReferenceSimulator, workload_name, config_factory, faults=faults,
-        **config_kwargs
+        gen=gen, **config_kwargs
     )
 
     fast_jsonl = events_to_jsonl(fast_col.events, dropped=fast_col.dropped)
@@ -158,23 +155,15 @@ def assert_identical(workload_name, config_factory=None, faults=None,
     return fast, ref
 
 
-@pytest.fixture(params=("gen_fast", "gen_ref"))
-def gen_mode(request, monkeypatch):
-    """Run the decorated test under both generation fast-path routings.
-
-    ``_run`` constructs workloads through :func:`make_workload`, which
-    reads ``REPRO_GEN_FASTPATH`` at construction time, so pinning the
-    env var here routes every workload the test builds.
-    """
-    monkeypatch.setenv(
-        GEN_FASTPATH_ENV, "1" if request.param == "gen_fast" else "0"
-    )
+@pytest.fixture(params=tuple(GEN_ENGINES))
+def gen_mode(request):
+    """Run the decorated test under both generation engines."""
     return request.param
 
 
 class TestWorkloadSamplingGrid:
     """All registry workloads x all four sampling techniques x both
-    generation routings."""
+    generation engines."""
 
     @pytest.mark.parametrize(
         "workload,policy",
@@ -182,13 +171,15 @@ class TestWorkloadSamplingGrid:
         ids=lambda value: str(value),
     )
     def test_byte_identical(self, workload, policy, gen_mode):
-        assert_identical(workload, sampling=SAMPLING_POLICIES[policy])
+        assert_identical(
+            workload, sampling=SAMPLING_POLICIES[policy], gen=gen_mode
+        )
 
 
 #: One spec per taxonomy kind plus a composed schedule (concurrent
 #: clauses, an activation window, a correlated burst) — the fault layer
 #: rewrites request specs before simulation, so every kind must survive
-#: both simulator implementations and both generation routings.
+#: both simulator implementations and both generation engines.
 FAULT_SPECS = (
     "lock_stall:0.4",
     "lock_convoy:0.4",
@@ -204,12 +195,13 @@ FAULT_SPECS = (
 
 class TestFaultedWorkloadGrid:
     """Every fault kind (and a composed schedule) x both simulator
-    implementations x both generation routings: byte-identical."""
+    implementations x both generation engines: byte-identical."""
 
     @pytest.mark.parametrize("faults", FAULT_SPECS, ids=lambda s: s)
     def test_byte_identical(self, faults, gen_mode):
         fast, ref = assert_identical(
-            "tpcc", faults=faults, sampling=SAMPLING_POLICIES["interrupt"]
+            "tpcc", faults=faults, sampling=SAMPLING_POLICIES["interrupt"],
+            gen=gen_mode,
         )
         # The schedule must actually have injected something.
         assert any(
@@ -228,7 +220,8 @@ class TestTrafficLayer:
             admission_limit=6,
         )
         fast, ref = assert_identical(
-            "webserver", traffic=traffic, num_requests=40, concurrency=6
+            "webserver", traffic=traffic, num_requests=40, concurrency=6,
+            gen=gen_mode,
         )
         # The scenario must actually exercise the shedding path.
         assert fast.requests_shed > 0
@@ -299,73 +292,56 @@ class TestSchedulerAndPlacement:
 
 
 class TestRouting:
-    """The environment kill switch routes construction, not behavior."""
+    """Plain construction always builds the fast path."""
 
     def _construct(self):
         return ServerSimulator(make_workload("mbench_spin"), SimConfig(num_requests=2))
 
-    def test_default_routes_to_fastpath(self, monkeypatch):
-        monkeypatch.delenv(FASTPATH_ENV, raising=False)
-        assert fastpath_enabled()
+    def test_default_routes_to_fastpath(self):
         assert type(self._construct()) is FastpathSimulator
 
-    def test_kill_switch_routes_to_base(self, monkeypatch):
-        monkeypatch.setenv(FASTPATH_ENV, "0")
-        assert not fastpath_enabled()
-        assert type(self._construct()) is ServerSimulator
-
-    def test_reference_subclass_always_bypasses(self, monkeypatch):
-        monkeypatch.setenv(FASTPATH_ENV, "1")
+    def test_reference_subclass_always_bypasses(self):
         sim = ReferenceSimulator(make_workload("mbench_spin"), SimConfig(num_requests=2))
         assert type(sim) is ReferenceSimulator
 
-    def test_env_positions_agree_end_to_end(self, monkeypatch):
-        """Plain construction under both env positions, identical output."""
+    def test_env_positions_agree_end_to_end(self):
+        """Plain construction and the reference simulator, identical output."""
         outputs = {}
-        for value in ("1", "0"):
-            monkeypatch.setenv(FASTPATH_ENV, value)
+        for build in (ServerSimulator, ReferenceSimulator):
             collector = TraceCollector(capacity=100_000)
             config = SimConfig(num_requests=10, seed=3, collector=collector)
-            result = ServerSimulator(make_workload("tpcc"), config).run()
-            outputs[value] = (
+            result = build(make_workload("tpcc"), config).run()
+            outputs[build.__name__] = (
                 events_to_jsonl(collector.events, dropped=collector.dropped),
                 result.wall_cycles,
                 tuple(t.cycles.tobytes() for t in result.traces),
             )
-        assert outputs["1"] == outputs["0"]
+        assert outputs["ServerSimulator"] == outputs["ReferenceSimulator"]
 
 
 class TestGenerationRouting:
-    """``REPRO_GEN_FASTPATH`` routes workload construction, not behavior."""
-
-    def test_default_routes_to_fast_generator(self, monkeypatch):
-        monkeypatch.delenv(GEN_FASTPATH_ENV, raising=False)
-        assert gen_fastpath_enabled()
+    def test_default_routes_to_fast_generator(self):
         assert type(make_workload("tpcc")) is FastTpccWorkload
 
-    def test_kill_switch_routes_to_reference_generator(self, monkeypatch):
-        monkeypatch.setenv(GEN_FASTPATH_ENV, "0")
-        assert not gen_fastpath_enabled()
-        assert type(make_workload("tpcc")) is TpccWorkload
+    def test_all_four_env_corners_agree_end_to_end(self):
+        """Both simulators x both generators, identical bytes.
 
-    def test_all_four_env_corners_agree_end_to_end(self, monkeypatch):
-        """Both kill switches, all four positions, identical bytes.
-
-        The two fast paths compose: either may be disabled
-        independently and the observable output must not move.
+        The two fast engines compose: either may be swapped for its
+        reference independently and the observable output must not move.
         """
         outputs = {}
-        for sim_env, gen_env in itertools.product(("1", "0"), repeat=2):
-            monkeypatch.setenv(FASTPATH_ENV, sim_env)
-            monkeypatch.setenv(GEN_FASTPATH_ENV, gen_env)
+        for sim_cls, gen in itertools.product(
+            (FastpathSimulator, ReferenceSimulator), GEN_ENGINES
+        ):
             collector = TraceCollector(capacity=100_000)
             config = SimConfig(num_requests=10, seed=3, collector=collector)
-            result = ServerSimulator(make_workload("tpcc"), config).run()
-            outputs[(sim_env, gen_env)] = (
+            plain, _ = GEN_ENGINES[gen]
+            result = sim_cls(plain("tpcc"), config).run()
+            outputs[(sim_cls.__name__, gen)] = (
                 events_to_jsonl(collector.events, dropped=collector.dropped),
                 result.wall_cycles,
                 tuple(t.cycles.tobytes() for t in result.traces),
             )
-        baseline = outputs[("1", "1")]
+        baseline = outputs[("FastpathSimulator", "gen_fast")]
         for corner, value in outputs.items():
-            assert value == baseline, f"env corner {corner} diverged"
+            assert value == baseline, f"engine corner {corner} diverged"

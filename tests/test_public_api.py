@@ -58,6 +58,18 @@ class TestExports:
             for symbol in getattr(module, "__all__", []):
                 assert hasattr(module, symbol), (name, symbol)
 
+    def test_engine_exports(self):
+        """Both simulators are exported; no engine switch is."""
+        kernel = importlib.import_module("repro.kernel")
+        kernels = importlib.import_module("repro.core.kernels")
+        assert {"FastpathSimulator", "ReferenceSimulator"} <= set(kernel.__all__)
+        for name in ("FASTPATH_ENV", "fastpath_enabled"):
+            assert name not in kernel.__all__
+            assert not hasattr(kernel, name)
+        for name in ("KERNELS_ENV", "kernels_enabled"):
+            assert name not in kernels.__all__
+            assert not hasattr(kernels, name)
+
     def test_every_public_callable_has_docstring(self):
         for name in repro.__all__:
             obj = getattr(repro, name)

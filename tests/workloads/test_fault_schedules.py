@@ -36,6 +36,7 @@ from repro.faults.schedule import (
 from repro.faults.taxonomy import FAULT_TAXONOMY, LEGACY_FAULT_KINDS
 from repro.workloads.faults import FaultInjectingWorkload
 from repro.workloads.registry import make_workload
+from tests.oracles import make_reference_workload
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 RATES = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
@@ -324,16 +325,16 @@ class TestLegacyByteIdentity:
             fingerprint(s) for s in specs_legacy
         ]
 
-    @pytest.mark.parametrize("gen_fastpath", ["0", "1"])
-    def test_identical_under_both_generation_paths(
-        self, gen_fastpath, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_GEN_FASTPATH", gen_fastpath)
+    @pytest.mark.parametrize(
+        "make", [make_reference_workload, make_workload], ids=["ref", "fast"]
+    )
+    def test_identical_under_both_generation_paths(self, make):
         legacy = FaultInjectingWorkload(
-            make_workload("rubis"), fault_probability=0.4,
-            fault_kind="cache_thrash",
+            make("rubis"), fault_probability=0.4, fault_kind="cache_thrash",
         )
-        new = scheduled("cache_thrash:0.4", workload="rubis")
+        new = ScheduledFaultWorkload(
+            make("rubis"), parse_fault_schedule("cache_thrash:0.4")
+        )
         specs_legacy = draw(legacy, 30, seed=13)
         specs_new = draw(new, 30, seed=13)
         assert new.injected_ids == legacy.injected_ids

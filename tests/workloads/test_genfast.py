@@ -7,35 +7,28 @@ identical RNG state afterward, so any downstream consumer sees the same
 bitstream no matter which generator produced the specs.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.hardware.cpu import PhaseBehavior
-from repro.workloads.genfast import (
-    FAST_FACTORIES,
-    GEN_FASTPATH_ENV,
-    BehaviorInterner,
-    FastTpccWorkload,
-)
+from repro.kernel.simulator import ServerSimulator, SimConfig
+from repro.workloads.genfast import FAST_FACTORIES, FastTpccWorkload, PhaseBlock
 from repro.workloads.registry import (
     SERVER_APPS,
     FixedKindWorkload,
     make_faulted_workload,
     make_workload,
 )
-from repro.workloads.rubis import RubisWorkload
-from repro.workloads.tpcc import TpccWorkload
-from repro.workloads.tpch import TpchWorkload
+from repro.workloads.tpcc import transaction_phase_defs
 from repro.workloads.webserver import WebServerWorkload
-from repro.workloads.webwork import WeBWorKWorkload
-
-REFERENCE_FACTORIES = {
-    "webserver": WebServerWorkload,
-    "tpcc": TpccWorkload,
-    "tpch": TpchWorkload,
-    "rubis": RubisWorkload,
-    "webwork": WeBWorKWorkload,
-}
+from tests.oracles import (
+    REFERENCE_FACTORIES,
+    make_reference_faulted_workload,
+    reference_engines,
+)
 
 
 def spec_fingerprint(spec):
@@ -136,23 +129,33 @@ class TestBlockAhead:
         assert not workload._block
 
 
-class TestBehaviorInterner:
-    def test_value_equal_behaviors_share_identity(self):
-        interner = BehaviorInterner()
-        a = interner.get(1.0, 0.1, 0.2, 0.4)
-        b = interner.get(1.0, 0.1, 0.2, 0.4)
-        c = interner.get(1.5, 0.1, 0.2, 0.4)
-        assert a is b
-        assert a is not c
-
-    def test_interned_behavior_equals_reference_dataclass(self):
-        interner = BehaviorInterner()
-        behavior = interner.get(1.25, 0.05, 0.3, 0.6)
-        assert behavior == PhaseBehavior(
-            base_cpi=1.25, l2_refs_per_ins=0.05, l2_miss_ratio=0.3,
-            cache_footprint=0.6,
+class TestStampedBehaviors:
+    def test_stamped_behavior_equals_reference_dataclass(self):
+        """Stamping skips dataclass validation, not dataclass semantics."""
+        phases = PhaseBlock(transaction_phase_defs("payment")).stamp(
+            np.random.default_rng(1)
         )
+        for phase in phases:
+            behavior = phase.behavior
+            assert type(behavior) is PhaseBehavior
+            assert behavior == PhaseBehavior(
+                base_cpi=behavior.base_cpi,
+                l2_refs_per_ins=behavior.l2_refs_per_ins,
+                l2_miss_ratio=behavior.l2_miss_ratio,
+                cache_footprint=behavior.cache_footprint,
+            )
 
+    def test_dropped_run_releases_its_behaviors(self):
+        """Nothing process-wide pins a finished run's behaviors."""
+        workload = make_workload("tpcc")
+        result = ServerSimulator(workload, SimConfig(num_requests=10, seed=3)).run()
+        behavior = weakref.ref(result.traces[0].spec.stages[0].phases[0].behavior)
+        del result, workload
+        gc.collect()
+        assert behavior() is None
+
+
+class TestTemplateCache:
     def test_templates_shared_across_instances(self):
         """Compiled templates are cached per key, not per workload."""
         a, b = FastTpccWorkload(), FastTpccWorkload()
@@ -169,24 +172,24 @@ class TestWrapperIntegration:
         (("tpcc", "payment"), ("webserver", "class1")),
         ids=("builder-dispatch", "rejection-sampling"),
     )
-    def test_fixed_kind_matches_reference(self, app, kind, monkeypatch):
-        results = {}
-        for env in ("1", "0"):
-            monkeypatch.setenv(GEN_FASTPATH_ENV, env)
-            results[env] = draw_with_state(FixedKindWorkload(app, kind), 8, 4)
-        assert results["1"] == results["0"]
+    def test_fixed_kind_matches_reference(self, app, kind):
+        fast = FixedKindWorkload(app, kind)
+        with reference_engines():
+            ref = FixedKindWorkload(app, kind)
+        assert type(ref._inner) is REFERENCE_FACTORIES[app]
+        assert draw_with_state(fast, 8, 4) == draw_with_state(ref, 8, 4)
 
-    def test_faulted_workload_matches_reference(self, monkeypatch):
-        results = {}
-        for env in ("1", "0"):
-            monkeypatch.setenv(GEN_FASTPATH_ENV, env)
-            results[env] = draw_with_state(
-                make_faulted_workload("tpcc", "lock_stall:0.4"), 15, 8
-            )
-        assert results["1"] == results["0"]
+    def test_faulted_workload_matches_reference(self):
+        fast = draw_with_state(
+            make_faulted_workload("tpcc", "lock_stall:0.4"), 15, 8
+        )
+        ref = draw_with_state(
+            make_reference_faulted_workload("tpcc", "lock_stall:0.4"), 15, 8
+        )
+        assert fast == ref
         # The fault rate must actually fire in 15 draws at p=0.4 for the
         # comparison to exercise injected stages.
-        fingerprints, _ = results["1"]
+        fingerprints, _ = fast
         assert any(
             ("injected_fault", "lock_stall") in fp[4] for fp in fingerprints
         )
@@ -194,16 +197,9 @@ class TestWrapperIntegration:
 
 class TestRegistryRouting:
     @pytest.mark.parametrize("app", SERVER_APPS)
-    def test_default_routes_to_fast_factory(self, app, monkeypatch):
-        monkeypatch.delenv(GEN_FASTPATH_ENV, raising=False)
+    def test_default_routes_to_fast_factory(self, app):
         assert type(make_workload(app)) is FAST_FACTORIES[app]
 
-    @pytest.mark.parametrize("app", SERVER_APPS)
-    def test_kill_switch_routes_to_reference(self, app, monkeypatch):
-        monkeypatch.setenv(GEN_FASTPATH_ENV, "0")
-        assert type(make_workload(app)) is REFERENCE_FACTORIES[app]
-
-    def test_microbenchmarks_never_rerouted(self, monkeypatch):
-        monkeypatch.delenv(GEN_FASTPATH_ENV, raising=False)
+    def test_microbenchmarks_never_rerouted(self):
         assert "mbench_spin" not in FAST_FACTORIES
         assert make_workload("mbench_spin").name == "mbench_spin"
