@@ -32,6 +32,7 @@ from repro.core.anomaly import detect_by_centroid_distance, detect_multi_metric_
 from repro.core.signatures import RecentPastPredictor, SignatureBank
 from repro.core.stagedetect import identify_stages
 from repro.core.transitions import TransitionSignalTrainer
+from repro.documents import DocumentError
 from repro.kernel.trace_io import load_traces, save_traces
 from repro.hardware import MachineConfig, SamplingCostModel, WOODCREST
 from repro.kernel import (
@@ -51,6 +52,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ContentionEasingScheduler",
+    "DocumentError",
     "Ewma",
     "LastValue",
     "MachineConfig",

@@ -38,11 +38,11 @@ import json
 import multiprocessing
 import os
 import struct
-import tempfile
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.documents import DocumentError, atomic_write, read_document
 from repro.obs.profiling import profiled_stage
 
 __all__ = [
@@ -113,10 +113,14 @@ class ContentCache:
     not a correctness, artifact: loading it silently starts empty.
 
     Subclasses pin down the value type via :meth:`_encode` /
-    :meth:`_decode` — :class:`DistanceCache` stores floats, the sweep
-    orchestrator's :class:`~repro.sweep.cache.ScenarioCache` stores whole
-    result documents.
+    :meth:`_decode` and name their file's ``FORMAT`` —
+    :class:`DistanceCache` stores floats, the sweep orchestrator's
+    :class:`~repro.sweep.cache.ScenarioCache` stores whole result
+    documents.
     """
+
+    FORMAT = "repro-content-cache"
+    VERSION = 1
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
@@ -151,31 +155,32 @@ class ContentCache:
         self._dirty = True
 
     def load(self) -> None:
+        """Merge the persisted entries; a foreign, future or corrupt file
+        starts the cache empty instead."""
+
+        def decode(payload: dict) -> Dict[str, object]:
+            entries = payload["entries"]
+            return {str(k): self._decode(v) for k, v in entries.items()}
+
         try:
-            with open(self.path) as fh:
-                payload = json.load(fh)
-            entries = payload.get("entries", {})
-            self._entries.update(
-                {str(k): self._decode(v) for k, v in entries.items()}
-            )
-        except (OSError, ValueError, TypeError):
-            pass
+            with open(self.path, "rb") as fh:
+                entries = read_document(
+                    fh.read(), self.FORMAT, self.VERSION,
+                    where=self.path, decode=decode,
+                )
+        except (OSError, DocumentError):
+            return
+        self._entries.update(entries)
 
     def save(self) -> None:
         if self.path is None or not self._dirty:
             return
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        payload = {"version": 1, "entries": self._entries}
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        payload = {
+            "format": self.FORMAT,
+            "version": self.VERSION,
+            "entries": self._entries,
+        }
+        atomic_write(self.path, json.dumps(payload))
         self._dirty = False
 
 
@@ -185,6 +190,7 @@ class DistanceCache(ContentCache):
     The engine invokes ``save`` after each computation that added entries.
     """
 
+    FORMAT = "repro-distance-cache"
     _encode = staticmethod(float)
     _decode = staticmethod(float)
 

@@ -15,11 +15,10 @@ import argparse
 import inspect
 import json
 import multiprocessing
-import os
 import sys
-import tempfile
 import time
 
+from repro.documents import atomic_write
 from repro.experiments.base import EXPERIMENTS, get_experiment
 from repro.obs.profiling import StageProfiler, activated
 
@@ -42,21 +41,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
     return value
-
-
-def _atomic_write(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` atomically (temp file + rename)."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def normalize_experiment_ids(requested) -> list:
@@ -252,7 +236,7 @@ def main(argv=None) -> int:
         # Write-to-temp-then-rename: appending would interleave two runs
         # sharing a report file, and a crash mid-write would leave a torn
         # one.  The rename publishes the whole report or nothing.
-        _atomic_write(
+        atomic_write(
             args.out, "\n\n".join(o.rstrip("\n") for o in outputs) + "\n"
         )
     if args.metrics_out:

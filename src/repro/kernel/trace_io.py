@@ -19,11 +19,13 @@ from __future__ import annotations
 import json
 from typing import List
 
+from repro.documents import canonical_json, read_document, read_jsonl
 from repro.hardware.counters import CounterSnapshot
 from repro.kernel.tracker import PeriodRecord, RequestTrace
 from repro.workloads.base import RequestSpec, Stage
 from repro.workloads.util import phase as make_phase
 
+FORMAT = "repro-request-traces"
 FORMAT_VERSION = 1
 
 
@@ -116,7 +118,7 @@ def save_traces(traces: List[RequestTrace], path: str) -> None:
         save_traces_jsonl(traces, path)
         return
     document = {
-        "format": "repro-request-traces",
+        "format": FORMAT,
         "version": FORMAT_VERSION,
         "traces": [trace_to_dict(t) for t in traces],
     }
@@ -128,15 +130,11 @@ def load_traces(path: str) -> List[RequestTrace]:
     """Read traces back from a JSON (or ``.jsonl``) file."""
     if path.endswith(".jsonl"):
         return load_traces_jsonl(path)
-    with open(path) as fh:
-        document = json.load(fh)
-    if document.get("format") != "repro-request-traces":
-        raise ValueError(f"{path}: not a repro trace file")
-    if document.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported version {document.get('version')}"
+    with open(path, "rb") as fh:
+        return read_document(
+            fh.read(), FORMAT, FORMAT_VERSION, where=path,
+            decode=lambda document: [trace_from_dict(d) for d in document["traces"]],
         )
-    return [trace_from_dict(d) for d in document["traces"]]
 
 
 def traces_to_jsonl(traces: List[RequestTrace]) -> str:
@@ -146,66 +144,23 @@ def traces_to_jsonl(traces: List[RequestTrace]) -> str:
     export a pure function of the trace contents — the property the
     determinism golden tests hash-compare.
     """
-    lines = [
-        json.dumps(
-            {
-                "format": "repro-request-traces",
-                "version": FORMAT_VERSION,
-                "traces": len(traces),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    lines.extend(
-        json.dumps(trace_to_dict(t), sort_keys=True, separators=(",", ":"))
-        for t in traces
-    )
+    header = {"format": FORMAT, "version": FORMAT_VERSION, "traces": len(traces)}
+    lines = [canonical_json(header)]
+    lines.extend(canonical_json(trace_to_dict(t)) for t in traces)
     return "\n".join(lines) + "\n"
 
 
-def parse_traces_jsonl(text: str) -> List[RequestTrace]:
+def parse_traces_jsonl(text: str, where: str = "trace stream") -> List[RequestTrace]:
     """Parse JSONL text produced by :func:`traces_to_jsonl`.
 
-    Raises :class:`ValueError` (with the offending line number) on a
-    foreign header, unsupported version, malformed lines, or a count
-    mismatch.
+    Raises :class:`~repro.documents.DocumentError` (with the offending
+    file line number) on a foreign header, unsupported version, malformed
+    lines, or a count mismatch.
     """
-    # Number lines before blank filtering so errors point at the real
-    # file position (blank separators must not renumber what follows).
-    numbered = [
-        (number, line)
-        for number, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    if not numbered:
-        raise ValueError("empty trace stream")
-    header_number, header_line = numbered[0]
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as error:
-        raise ValueError(
-            f"line {header_number}: malformed trace header: {error}"
-        ) from None
-    if not isinstance(header, dict) or header.get("format") != "repro-request-traces":
-        raise ValueError("not a repro trace stream")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported version {header.get('version')}")
-    traces = []
-    for number, line in numbered[1:]:
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"line {number}: malformed trace: {error}") from None
-        try:
-            traces.append(trace_from_dict(payload))
-        except (ValueError, KeyError, TypeError) as error:
-            raise ValueError(f"line {number}: {error}") from None
-    declared = header.get("traces")
-    if declared is not None and declared != len(traces):
-        raise ValueError(
-            f"header declares {declared} traces, stream has {len(traces)}"
-        )
+    _, traces = read_jsonl(
+        text, FORMAT, FORMAT_VERSION,
+        where=where, decode=trace_from_dict, count="traces",
+    )
     return traces
 
 
@@ -215,5 +170,5 @@ def save_traces_jsonl(traces: List[RequestTrace], path: str) -> None:
 
 
 def load_traces_jsonl(path: str) -> List[RequestTrace]:
-    with open(path) as fh:
-        return parse_traces_jsonl(fh.read())
+    with open(path, "rb") as fh:
+        return parse_traces_jsonl(fh.read(), where=path)

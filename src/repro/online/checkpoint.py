@@ -20,22 +20,21 @@ future document fails loudly.
 
 from __future__ import annotations
 
-import json
-
+from repro.documents import DocumentError, atomic_write, canonical_json, read_document
 from repro.online.pipeline import OnlinePipeline
 
 CHECKPOINT_FORMAT = "repro-online-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DocumentError):
     """A checkpoint document could not be read.
 
     Raised — instead of a raw :class:`KeyError` / :class:`json.
     JSONDecodeError` surfacing from the payload internals — for truncated
     files, malformed JSON, foreign documents, unsupported versions, and
-    structurally corrupt state payloads.  Subclasses :class:`ValueError`
-    so existing callers that catch broadly keep working.
+    structurally corrupt state payloads.  A :class:`~repro.documents.
+    DocumentError`, hence a :class:`ValueError` for broad callers.
     """
 
 
@@ -46,44 +45,31 @@ def checkpoint_to_json(pipeline: OnlinePipeline) -> str:
         "version": CHECKPOINT_VERSION,
         "state": pipeline.to_state(),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
-def checkpoint_from_json(text: str, registry=None) -> OnlinePipeline:
+def checkpoint_from_json(
+    text: str, registry=None, where: str = "checkpoint"
+) -> OnlinePipeline:
     """Rebuild a pipeline from checkpoint JSON (loud on bad input)."""
-    if not text.strip():
-        raise CheckpointError("empty checkpoint (truncated write?)")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            f"malformed checkpoint (truncated or corrupt): {error}"
-        ) from None
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError("not a repro online checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {payload.get('version')!r} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
-        )
-    state = payload.get("state")
-    if not isinstance(state, dict):
-        raise CheckpointError("checkpoint has no state object")
-    try:
+
+    def decode(payload: dict) -> OnlinePipeline:
+        state = payload.get("state")
+        if not isinstance(state, dict):
+            raise CheckpointError(f"{where}: checkpoint has no state object")
         return OnlinePipeline.from_state(state, registry=registry)
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
-        raise CheckpointError(
-            f"corrupt checkpoint state (version {CHECKPOINT_VERSION}): "
-            f"{type(error).__name__}: {error}"
-        ) from None
+
+    return read_document(
+        text, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+        where=where, decode=decode, error=CheckpointError,
+    )
 
 
 def save_checkpoint(pipeline: OnlinePipeline, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(checkpoint_to_json(pipeline))
-        fh.write("\n")
+    """Atomically replace ``path`` with the pipeline's checkpoint."""
+    atomic_write(path, checkpoint_to_json(pipeline) + "\n")
 
 
 def load_checkpoint(path: str, registry=None) -> OnlinePipeline:
-    with open(path) as fh:
-        return checkpoint_from_json(fh.read(), registry=registry)
+    with open(path, "rb") as fh:
+        return checkpoint_from_json(fh.read(), registry=registry, where=path)

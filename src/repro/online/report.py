@@ -13,11 +13,11 @@ checkpoint/restore tests compare.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
+from repro.documents import canonical_json
 from repro.workloads.faults import score_detection
 
 
@@ -53,7 +53,7 @@ class DetectionReport:
         }
         if self.attribution is not None:
             payload["attribution"] = self.attribution
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
     def render(self) -> str:
         """Human-readable report for the CLI."""

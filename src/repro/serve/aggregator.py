@@ -18,11 +18,16 @@ reports them separately.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
+from repro.documents import (
+    DocumentError,
+    canonical_json,
+    check_envelope,
+    read_document,
+)
 from repro.online.report import _median
 from repro.workloads.faults import score_detection
 
@@ -37,28 +42,23 @@ FLEET_REPORT_FORMAT = "repro-serve-fleet-report"
 FLEET_REPORT_VERSION = 1
 
 
-def validate_worker_report(document: dict, where: str = "worker report") -> dict:
+def validate_worker_report(document, where: str = "worker report") -> dict:
     """Loud structural validation of one worker-report document."""
-    if not isinstance(document, dict) or document.get("format") != WORKER_REPORT_FORMAT:
-        raise ValueError(f"{where}: not a repro serve worker report")
-    if document.get("version") != WORKER_REPORT_VERSION:
-        raise ValueError(
-            f"{where}: unsupported worker-report version "
-            f"{document.get('version')!r}"
-        )
+    check_envelope(
+        document, WORKER_REPORT_FORMAT, WORKER_REPORT_VERSION, where=where
+    )
     if not isinstance(document.get("shard"), str):
-        raise ValueError(f"{where}: missing shard name")
+        raise DocumentError(f"{where}: missing shard name")
     if not isinstance(document.get("instances"), dict):
-        raise ValueError(f"{where}: missing instances object")
+        raise DocumentError(f"{where}: missing instances object")
     return document
 
 
 def load_worker_report(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}: malformed worker report: {error}") from None
+    with open(path, "rb") as fh:
+        document = read_document(
+            fh.read(), WORKER_REPORT_FORMAT, WORKER_REPORT_VERSION, where=path
+        )
     return validate_worker_report(document, where=path)
 
 
@@ -88,7 +88,7 @@ class FleetReport:
         # --attribute, keeping detection-only fleet reports byte-stable.
         if self.attribution is not None:
             payload["attribution"] = self.attribution
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
     def render(self) -> str:
         """ASCII fleet dashboard for the CLI."""

@@ -27,6 +27,7 @@ import json
 import struct
 from typing import List, Optional
 
+from repro.documents import DocumentError, canonical_json, check_envelope
 from repro.obs.trace import ObsEvent
 
 PROTOCOL_FORMAT = "repro-serve-proto"
@@ -57,10 +58,11 @@ FRAME_TYPES = frozenset(
 )
 
 
-class ProtocolError(ValueError):
+class ProtocolError(DocumentError):
     """A frame violated the wire protocol (malformed, oversized, foreign
     version, unexpected type).  Protocol errors are not transient: the
-    connection that raised one must be closed, not retried."""
+    connection that raised one must be closed, not retried.  A
+    :class:`~repro.documents.DocumentError`, like every decoder error."""
 
 
 class PeerClosedError(ProtocolError, ConnectionError):
@@ -77,7 +79,7 @@ def encode_frame(payload: dict) -> bytes:
     frame_type = payload.get("type")
     if frame_type not in FRAME_TYPES:
         raise ProtocolError(f"cannot encode unknown frame type {frame_type!r}")
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    body = canonical_json(payload).encode()
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES "
@@ -90,7 +92,7 @@ def decode_payload(body: bytes, where: str = "frame") -> dict:
     """Parse one frame payload (loud on malformed bytes)."""
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:  # incl. UnicodeDecodeError
         raise ProtocolError(f"{where}: malformed frame payload: {error}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(f"{where}: frame payload is not an object")
@@ -188,17 +190,10 @@ def hello(role: str, **fields) -> dict:
 
 def check_version(payload: dict) -> dict:
     """Validate a hello/hello_ack's format + version fields (loud)."""
-    if payload.get("format") != PROTOCOL_FORMAT:
-        raise ProtocolError(
-            f"foreign protocol format {payload.get('format')!r} "
-            f"(this build speaks {PROTOCOL_FORMAT})"
-        )
-    if payload.get("version") != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {payload.get('version')!r} "
-            f"(this build speaks version {PROTOCOL_VERSION})"
-        )
-    return payload
+    return check_envelope(
+        payload, PROTOCOL_FORMAT, PROTOCOL_VERSION,
+        where="handshake", error=ProtocolError,
+    )
 
 
 async def client_handshake(stream: FrameStream, role: str, **fields) -> dict:

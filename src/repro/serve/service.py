@@ -20,7 +20,6 @@ ack-latency percentiles, sheds, reconnects, restarts) alongside.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import subprocess
@@ -29,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.documents import canonical_json
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.aggregator import FleetReport, merge_worker_reports
 from repro.serve.instance import (
@@ -455,7 +455,7 @@ def save_worker_reports(reports: List[dict], run_dir: str) -> List[str]:
     for report in reports:
         path = os.path.join(run_dir, f"report-{report['shard']}.json")
         with open(path, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
+            fh.write(canonical_json(report))
             fh.write("\n")
         paths.append(path)
     return paths

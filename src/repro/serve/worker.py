@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import os
 import signal
 import sys
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.identification import OnlineIdentifier
+from repro.documents import atomic_write, canonical_json, read_document
 from repro.obs.trace import ObsEvent
 from repro.online.checkpoint import (
     CheckpointError,
@@ -67,25 +67,15 @@ def save_bank(identifier: OnlineIdentifier, path: str) -> None:
         "version": BANK_VERSION,
         "identifier": identifier.to_state(),
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+    atomic_write(path, canonical_json(payload) + "\n")
 
 
 def load_bank(path: str) -> OnlineIdentifier:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path}: malformed bank file: {error}") from None
-    if not isinstance(payload, dict) or payload.get("format") != BANK_FORMAT:
-        raise ValueError(f"{path}: not a repro serve bank file")
-    if payload.get("version") != BANK_VERSION:
-        raise ValueError(
-            f"{path}: unsupported bank version {payload.get('version')!r}"
+    with open(path, "rb") as fh:
+        return read_document(
+            fh.read(), BANK_FORMAT, BANK_VERSION, where=path,
+            decode=lambda payload: OnlineIdentifier.from_state(payload["identifier"]),
         )
-    return OnlineIdentifier.from_state(payload["identifier"])
 
 
 @dataclass
@@ -187,12 +177,10 @@ class ShardWorker:
 
     def _write_checkpoint(self, instance: int, state: _InstanceState) -> int:
         """Atomically persist one instance pipeline; returns covered seq."""
-        path = self._checkpoint_path(instance)
-        temp = f"{path}.tmp"
-        with open(temp, "w") as fh:
-            fh.write(checkpoint_to_json(state.pipeline))
-            fh.write("\n")
-        os.replace(temp, path)
+        atomic_write(
+            self._checkpoint_path(instance),
+            checkpoint_to_json(state.pipeline) + "\n",
+        )
         self.checkpoints_written += 1
         state.events_since_checkpoint = 0
         return state.pipeline.last_seq
@@ -412,7 +400,7 @@ async def server_handshake_for(worker: ShardWorker, stream: FrameStream) -> dict
 
 
 def _record_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(record) + "\n"
 
 
 # -- subprocess entry point ---------------------------------------------

@@ -31,6 +31,8 @@ def default_scenario_cache_path(
 class ScenarioCache(ContentCache):
     """scenario content key -> canonical scenario result document."""
 
+    FORMAT = "repro-scenario-cache"
+
     @staticmethod
     def _decode(value):
         # Foreign documents in the entries dict mean the file is not a

@@ -20,10 +20,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from typing import List, Optional
 
 from repro.analysis.report import format_table
+from repro.documents import atomic_write
 from repro.sweep.cache import ScenarioCache, default_scenario_cache_path
 from repro.sweep.executor import SweepOptions, run_sweep
 from repro.sweep.golden import GOLDEN_DIR, regenerate_golden
@@ -136,24 +136,10 @@ def _progress_printer(quiet: bool):
     return emit
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _finish(manifest: SweepManifest, report_path: Optional[str]) -> int:
     report = build_report(manifest)
     if report_path:
-        _atomic_write(report_path, report.to_json())
+        atomic_write(report_path, report.to_json())
     print(report.render())
     return 1 if manifest.counts()["quarantined"] else 0
 
@@ -221,7 +207,7 @@ def _cmd_report(args) -> int:
     manifest = SweepManifest.load(args.manifest)
     report = build_report(manifest)
     if args.out:
-        _atomic_write(args.out, report.to_json())
+        atomic_write(args.out, report.to_json())
     print(report.render())
     return 0
 

@@ -16,13 +16,11 @@ leaves either the previous manifest or the new one, never a torn file.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from typing import Dict, List, Optional
 
+from repro.documents import atomic_write, canonical_json, read_document
 from repro.sweep.scenario import validate_result_document
-from repro.sweep.spec import Scenario, SweepSpec, canonical_json
+from repro.sweep.spec import Scenario, SweepSpec
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -138,18 +136,8 @@ class SweepManifest:
         return canonical_json(self.to_payload()) + "\n"
 
     @classmethod
-    def from_payload(cls, payload) -> "SweepManifest":
-        if not isinstance(payload, dict):
-            raise ValueError(f"manifest must be a JSON object, got {payload!r}")
-        if payload.get("format") != MANIFEST_FORMAT:
-            raise ValueError(
-                f"not a {MANIFEST_FORMAT} document: format={payload.get('format')!r}"
-            )
-        if payload.get("version") != MANIFEST_VERSION:
-            raise ValueError(
-                f"unsupported {MANIFEST_FORMAT} version {payload.get('version')!r} "
-                f"(supported: {MANIFEST_VERSION})"
-            )
+    def from_payload(cls, payload: Dict) -> "SweepManifest":
+        """Rebuild from an envelope-checked manifest document."""
         spec = SweepSpec.from_dict(payload.get("spec"))
         if payload.get("spec_key") != spec.spec_key:
             raise ValueError(
@@ -175,28 +163,17 @@ class SweepManifest:
         return cls(spec, scenarios, order)
 
     @classmethod
-    def from_json(cls, text: str) -> "SweepManifest":
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            raise ValueError(f"malformed manifest JSON: {error}") from None
-        return cls.from_payload(payload)
+    def from_json(cls, text: str, where: str = "manifest") -> "SweepManifest":
+        return read_document(
+            text, MANIFEST_FORMAT, MANIFEST_VERSION,
+            where=where, decode=cls.from_payload,
+        )
 
     def save(self, path: str) -> None:
         """Atomic write: readers see the old or the new manifest, never a tear."""
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(self.to_json())
-            os.replace(tmp, path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "SweepManifest":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        with open(path, "rb") as fh:
+            return cls.from_json(fh.read(), where=path)

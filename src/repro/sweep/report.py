@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
+from repro.documents import canonical_json
 from repro.sweep.manifest import STATUS_DONE, SweepManifest
-from repro.sweep.spec import NO_FAULTS, canonical_json
+from repro.sweep.spec import NO_FAULTS
 
 __all__ = ["REPORT_FORMAT", "REPORT_VERSION", "SweepReport", "build_report"]
 

@@ -16,6 +16,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.documents import DocumentError, canonical_json, check_envelope
 from repro.hardware.platform import (
     WOODCREST,
     cluster_machine,
@@ -31,12 +32,7 @@ from repro.online.pipeline import (
     train_identifier,
 )
 from repro.online.report import build_report
-from repro.sweep.spec import (
-    NO_FAULTS,
-    Scenario,
-    canonical_json,
-    parse_placement,
-)
+from repro.sweep.spec import NO_FAULTS, Scenario, parse_placement
 from repro.workloads.registry import make_faulted_workload, make_workload
 
 __all__ = [
@@ -195,19 +191,10 @@ def result_to_json(document: Dict) -> str:
 
 def validate_result_document(document, scenario_id: Optional[str] = None) -> Dict:
     """Loudly check a (cached or persisted) result document's envelope."""
-    if not isinstance(document, dict):
-        raise ValueError(f"scenario result must be an object, got {document!r}")
-    if document.get("format") != RESULT_FORMAT:
-        raise ValueError(
-            f"not a {RESULT_FORMAT} document: format={document.get('format')!r}"
-        )
-    if document.get("version") != RESULT_VERSION:
-        raise ValueError(
-            f"unsupported {RESULT_FORMAT} version {document.get('version')!r} "
-            f"(supported: {RESULT_VERSION})"
-        )
+    where = "scenario result" if scenario_id is None else f"scenario {scenario_id}"
+    check_envelope(document, RESULT_FORMAT, RESULT_VERSION, where=where)
     if scenario_id is not None and document.get("scenario_id") != scenario_id:
-        raise ValueError(
+        raise DocumentError(
             f"result document is for scenario {document.get('scenario_id')!r}, "
             f"expected {scenario_id!r}"
         )

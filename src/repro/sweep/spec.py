@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
+from repro.documents import canonical_json
 from repro.workloads.registry import available_workloads
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "SINGLE_PLACEMENT",
     "Scenario",
     "SweepSpec",
-    "canonical_json",
     "content_key",
     "parse_placement",
 ]
@@ -52,11 +52,6 @@ DEFAULT_DISPATCH = "rr"
 
 SCENARIO_FORMAT = "repro-sweep-scenario"
 SCENARIO_VERSION = 1
-
-
-def canonical_json(payload) -> str:
-    """The repo-wide canonical serialization (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def content_key(payload) -> str:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -77,3 +80,31 @@ def web_serial_run():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def torn_writes(monkeypatch):
+    """Make file writes through ``os.fdopen`` (the atomic-write temp
+    file) die half-way with ENOSPC, as a full disk or a crash would."""
+    real_fdopen = os.fdopen
+
+    class TornFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+            return False
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fdopen(fd, *args, **kwargs):
+        return TornFile(real_fdopen(fd, *args, **kwargs))
+
+    monkeypatch.setattr(os, "fdopen", fdopen)

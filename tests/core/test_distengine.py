@@ -178,6 +178,38 @@ class TestCaching:
         cache = DistanceCache(path=str(path))
         assert len(cache) == 0
 
+    def test_cache_file_is_a_versioned_document(self, tmp_path):
+        path = tmp_path / "d.json"
+        cache = DistanceCache(path=str(path))
+        cache.put("k|a|b", 1.5)
+        cache.save()
+        document = json.loads(path.read_text())
+        assert document == {
+            "format": "repro-distance-cache",
+            "version": 1,
+            "entries": {"k|a|b": 1.5},
+        }
+        assert DistanceCache(path=str(path)).get("k|a|b") == 1.5
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"format": "repro-distance-cache", "version": 99,
+             "entries": {"k|a|b": 1.5}},
+            {"format": "repro-scenario-cache", "version": 1,
+             "entries": {"k|a|b": 1.5}},
+            {"version": 1, "entries": {"k|a|b": 1.5}},
+            [],
+        ],
+        ids=["future-version", "foreign-format", "no-format", "non-object"],
+    )
+    def test_foreign_future_or_non_object_file_starts_empty(
+        self, tmp_path, document
+    ):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(document))
+        assert len(DistanceCache(path=str(path))) == 0
+
     def test_default_cache_path_layout(self):
         assert default_cache_path().endswith(
             os.path.join("results", ".cache", "distances.json")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.documents import DocumentError
 from repro.kernel.trace_io import (
     load_traces,
     parse_traces_jsonl,
@@ -71,6 +72,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             trace_from_dict({"request_id": 1})
 
+    @pytest.mark.parametrize(
+        "document",
+        [[], {"format": "repro-request-traces", "version": 1}],
+        ids=["non-object", "no-traces"],
+    )
+    def test_shapeless_document_rejected(self, tmp_path, document):
+        path = tmp_path / "shapeless.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(DocumentError, match="shapeless.json"):
+            load_traces(str(path))
+
     def test_dict_is_json_serializable(self, tpcc_run):
         payload = trace_to_dict(tpcc_run.traces[0])
         json.dumps(payload)  # must not raise
@@ -108,7 +120,7 @@ class TestJsonl:
             parse_traces_jsonl("{oops\n")
 
     def test_foreign_format_rejected(self):
-        with pytest.raises(ValueError, match="not a repro trace"):
+        with pytest.raises(ValueError, match="not a repro-request-traces document"):
             parse_traces_jsonl('{"format":"other","version":1}\n')
 
     def test_unsupported_version_rejected(self):

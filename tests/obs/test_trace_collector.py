@@ -198,7 +198,7 @@ class TestMalformedInput:
             parse_events_jsonl("not json\n")
 
     def test_foreign_format(self):
-        with pytest.raises(ValueError, match="not a repro obs"):
+        with pytest.raises(ValueError, match="not a repro-obs-events document"):
             parse_events_jsonl('{"format":"something-else","version":1}\n')
 
     def test_unsupported_version(self):

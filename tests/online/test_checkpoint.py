@@ -1,9 +1,11 @@
 """Checkpoint/restore: the byte-identity contract and format validation."""
 
 import json
+import os
 
 import pytest
 
+from repro.documents import DocumentError
 from repro.online.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -83,6 +85,20 @@ class TestFileRoundTrip:
         restored = load_checkpoint(str(path))
         assert checkpoint_to_json(restored) == checkpoint_to_json(pipeline)
 
+    def test_failed_save_keeps_previous_file(
+        self, streamed_run, trained_identifier, tmp_path, torn_writes
+    ):
+        path = tmp_path / "ckpt.json"
+        path.write_text(checkpoint_to_json(OnlinePipeline()) + "\n")
+        previous = path.read_bytes()
+        pipeline = fresh_pipeline(trained_identifier)
+        pipeline.process_events(streamed_run[1])
+        with pytest.raises(OSError):
+            save_checkpoint(pipeline, str(path))
+        assert path.read_bytes() == previous
+        # the torn temp file is removed, not left behind
+        assert os.listdir(tmp_path) == ["ckpt.json"]
+
 
 class TestValidation:
     def test_rejects_garbage(self):
@@ -90,7 +106,7 @@ class TestValidation:
             checkpoint_from_json("not json{")
 
     def test_rejects_foreign_document(self):
-        with pytest.raises(ValueError, match="not a repro online checkpoint"):
+        with pytest.raises(ValueError, match="not a repro-online-checkpoint document"):
             checkpoint_from_json(json.dumps({"format": "something-else"}))
 
     def test_rejects_future_version(self):
@@ -99,7 +115,7 @@ class TestValidation:
             "version": CHECKPOINT_VERSION + 1,
             "state": {},
         }
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        with pytest.raises(ValueError, match="unsupported repro-online-checkpoint version"):
             checkpoint_from_json(json.dumps(payload))
 
     def test_pipeline_without_identifier_round_trips(self):
@@ -120,7 +136,7 @@ class TestCorruptPayloads:
             checkpoint_from_json(blob[: len(blob) // 2])
 
     def test_empty_document(self):
-        with pytest.raises(CheckpointError, match="empty checkpoint"):
+        with pytest.raises(CheckpointError, match="empty repro-online-checkpoint document"):
             checkpoint_from_json("   \n")
 
     def test_missing_state_key(self):
@@ -138,7 +154,7 @@ class TestCorruptPayloads:
     def test_wrong_typed_state_payload(self):
         blob = json.loads(checkpoint_to_json(OnlinePipeline()))
         blob["state"]["open"] = {"not": "a list"}
-        with pytest.raises(CheckpointError, match="corrupt checkpoint state"):
+        with pytest.raises(CheckpointError, match="corrupt repro-online-checkpoint document"):
             checkpoint_from_json(json.dumps(blob))
 
     def test_truncated_file_on_disk(self, tmp_path):
@@ -150,3 +166,4 @@ class TestCorruptPayloads:
 
     def test_checkpoint_error_is_a_value_error(self):
         assert issubclass(CheckpointError, ValueError)
+        assert issubclass(CheckpointError, DocumentError)

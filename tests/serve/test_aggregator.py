@@ -80,7 +80,7 @@ def two_worker_fixture():
 
 class TestValidation:
     def test_foreign_document_rejected(self):
-        with pytest.raises(ValueError, match="not a repro serve worker report"):
+        with pytest.raises(ValueError, match="not a repro-serve-worker-report document"):
             validate_worker_report({"format": "something-else"})
 
     def test_version_skew_rejected(self):

@@ -107,6 +107,13 @@ class TestMalformedInput:
         with pytest.raises(ProtocolError, match="frame 0: malformed"):
             read_one(struct.pack("!I", len(body)) + body)
 
+    def test_non_utf8_payload(self):
+        body = b'{"type":"end","x":"\xff"}'
+        with pytest.raises(ProtocolError, match="malformed"):
+            decode_payload(body)
+        with pytest.raises(ProtocolError, match="frame 0: malformed"):
+            read_one(struct.pack("!I", len(body)) + body)
+
     def test_non_object_payload(self):
         body = b"[1,2,3]"
         with pytest.raises(ProtocolError, match="not an object"):
@@ -176,7 +183,7 @@ class TestHandshake:
         check_version(hello("control"))
 
     def test_check_version_rejects_foreign_format(self):
-        with pytest.raises(ProtocolError, match="foreign protocol"):
+        with pytest.raises(ProtocolError, match="not a repro-serve-proto document"):
             check_version({"format": "other-proto", "version": 1})
 
     def test_check_version_rejects_version_skew(self):

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.documents import DocumentError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.aggregator import merge_worker_reports
 from repro.serve.instance import (
@@ -29,7 +30,7 @@ from repro.serve.service import (
     save_worker_reports,
     shard_name,
 )
-from repro.serve.worker import ShardWorker, WorkerConfig
+from repro.serve.worker import ShardWorker, WorkerConfig, load_bank, save_bank
 
 
 def make_worker(tmp_path, shard="w0", **overrides) -> ShardWorker:
@@ -85,6 +86,38 @@ class TestInstanceEvents:
         assert a.events_shed == 4
         assert a.reconnects == 1
         assert a.ack_latencies == [0.1, 0.2]
+
+
+class TestBank:
+    @pytest.fixture(scope="class")
+    def identifier(self):
+        from repro.online.pipeline import train_identifier
+        from repro.workloads.registry import make_workload
+
+        return train_identifier(make_workload("mbench_spin"), num_requests=6, seed=2)
+
+    def test_round_trip_is_byte_identical(self, identifier, tmp_path):
+        path = tmp_path / "bank.json"
+        save_bank(identifier, str(path))
+        written = path.read_bytes()
+        assert written.endswith(b"\n")
+        save_bank(load_bank(str(path)), str(path))
+        assert path.read_bytes() == written
+
+    def test_envelope_without_identifier_rejected(self, tmp_path):
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps({"format": "repro-serve-bank", "version": 1}))
+        with pytest.raises(DocumentError, match="bank.json.*'identifier'"):
+            load_bank(str(path))
+
+    def test_failed_save_keeps_previous_file(self, identifier, tmp_path, torn_writes):
+        path = tmp_path / "bank.json"
+        path.write_text("previous bank\n")
+        with pytest.raises(OSError):
+            save_bank(identifier, str(path))
+        assert path.read_text() == "previous bank\n"
+        # the torn temp file is removed, not left behind
+        assert os.listdir(tmp_path) == ["bank.json"]
 
 
 class TestShardWorker:

@@ -39,6 +39,7 @@ class TestExports:
             "repro.experiments",
             "repro.sweep",
             "repro.cli",
+            "repro.documents",
         ],
     )
     def test_subpackages_import(self, module):
@@ -69,6 +70,16 @@ class TestExports:
         for name in ("KERNELS_ENV", "kernels_enabled"):
             assert name not in kernels.__all__
             assert not hasattr(kernels, name)
+
+    def test_document_error_is_every_decoders_error(self):
+        from repro.online.checkpoint import CheckpointError
+        from repro.serve.protocol import PeerClosedError, ProtocolError
+
+        assert "DocumentError" in repro.__all__
+        assert issubclass(repro.DocumentError, ValueError)
+        for error in (CheckpointError, ProtocolError, PeerClosedError):
+            assert issubclass(error, repro.DocumentError), error
+        assert issubclass(PeerClosedError, ConnectionError)
 
     def test_every_public_callable_has_docstring(self):
         for name in repro.__all__:

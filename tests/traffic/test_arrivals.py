@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.documents import DocumentError
 from repro.traffic import (
     Arrival,
     ClosedLoop,
@@ -204,6 +205,24 @@ class TestTraceReplay:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"format": "nope"}) + "\n")
         with pytest.raises(ValueError, match="not a repro-arrival-schedule"):
+            load_schedule(str(path))
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["[]"], "not a repro-arrival-schedule document"),
+            (['{"t_us": 1.0}', "{oops"], "line 3: malformed"),
+            (['{"t_us": 1.0}', '{"tenant": 2}'], "line 3: .*'t_us'"),
+        ],
+        ids=["non-object-header", "malformed-record", "record-without-t_us"],
+    )
+    def test_load_rejects_shapeless_input(self, tmp_path, lines, message):
+        path = tmp_path / "bad.jsonl"
+        header = json.dumps({"format": "repro-arrival-schedule", "version": 1})
+        if lines[0] != "[]":
+            lines = [header] + lines
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DocumentError, match=message):
             load_schedule(str(path))
 
     def test_load_rejects_decreasing_times(self, tmp_path):
