@@ -16,8 +16,8 @@ multicore impact while TPCH's 90-percentile CPI roughly doubles), and
 
 The paper's anomaly analysis (Section 4.3) also observed that co-running can
 raise the L2 *reference* rate slightly (L1 coherence misses, extra
-software-contention instructions); :meth:`SharedL2Model.effective_ref_rate`
-models the hardware part of that as a small multiplicative inflation.
+software-contention instructions); :meth:`SharedL2Model.contend` models
+the hardware part of that as a small multiplicative inflation.
 """
 
 from __future__ import annotations
@@ -51,10 +51,17 @@ class SharedL2Model:
     #: effects under full pressure.
     ref_inflation: float = 0.08
 
-    def effective_miss_ratio(
-        self, base_miss_ratio: float, footprint: float, co_pressure: float
-    ) -> float:
-        """Effective L2 miss ratio given the sum of peers' pressure."""
+    def contend(
+        self,
+        base_miss_ratio: float,
+        footprint: float,
+        refs_per_ins: float,
+        co_pressure: float,
+    ) -> tuple:
+        """Effective ``(miss_ratio, refs_per_ins)`` given peers' pressure.
+
+        Both inflations share one saturation term, computed once.
+        """
         if not 0.0 <= base_miss_ratio <= 1.0:
             raise ValueError(f"base_miss_ratio out of range: {base_miss_ratio}")
         if co_pressure < 0:
@@ -65,11 +72,6 @@ class SharedL2Model:
             (self.miss_ratio_cap - base_miss_ratio) * saturation * sensitivity
         )
         # A base ratio already above the cap is left alone (never reduced).
-        return max(base_miss_ratio, inflated)
-
-    def effective_ref_rate(
-        self, base_refs_per_ins: float, co_pressure: float
-    ) -> float:
-        """Effective L2 references per instruction under co-run pressure."""
-        saturation = 1.0 - math.exp(-self.pressure_scale * co_pressure)
-        return base_refs_per_ins * (1.0 + self.ref_inflation * saturation)
+        miss_ratio = max(base_miss_ratio, inflated)
+        ref_rate = refs_per_ins * (1.0 + self.ref_inflation * saturation)
+        return miss_ratio, ref_rate

@@ -100,11 +100,11 @@ def compute_effective_rates(
             for peer in machine.l2_peers_of(core)
             if peer in behaviors
         )
-        miss_ratios[core] = cache.effective_miss_ratio(
-            behavior.l2_miss_ratio, behavior.cache_footprint, co_pressure
-        )
-        ref_rates[core] = cache.effective_ref_rate(
-            behavior.l2_refs_per_ins, co_pressure
+        miss_ratios[core], ref_rates[core] = cache.contend(
+            behavior.l2_miss_ratio,
+            behavior.cache_footprint,
+            behavior.l2_refs_per_ins,
+            co_pressure,
         )
 
     traffic = {

@@ -20,9 +20,14 @@ bit for bit.  The restructurings:
   core events to beat it strictly.
 * **scalar per-core accumulators** — period and total counters accumulate
   as four plain floats per core instead of chained frozen
-  ``CounterSnapshot`` allocations.  A left-fold of per-field scalar adds
-  performs the identical operation sequence, so the flushed
-  :class:`~repro.kernel.tracker.PeriodRecord` counters are bit-identical.
+  ``CounterSnapshot`` allocations, and effective rates live in three float
+  slots per core (synced to ``CoreState.rates`` when the run ends).  A
+  left-fold of per-field scalar adds performs the identical operation
+  sequence, so the flushed period counters are bit-identical.
+* **periods as flat rows** — each sample appends one tuple in
+  :data:`~repro.kernel.tracker.PERIOD_FIELDS` order to the open request,
+  instead of a ``PeriodRecord`` plus a ``CounterSnapshot``; only runs with
+  a ``period_sample`` observer go through ``close_period``.
 * **batched event application** — runs of sampler events (interrupt
   samples, rate-based syscalls) cannot change dispatch, completion, or
   shedding state, so the inner loop drains them without re-entering the
@@ -30,11 +35,16 @@ bit for bit.  The restructurings:
   batches is impossible under byte-identity (every event must advance
   every busy core at its own timestamp, in order), so the batching is
   control-flow elision, not arithmetic fusion — see ``docs/perf.md``.
+* **dirty-core contention solve** — each core keeps the phase behavior it
+  is running, with that phase's cache pressure, solo CPI and contention
+  triple.  A solve recomputes the phase terms only for cores whose phase
+  changed, and the triple only for those cores and their L2 peers; bus
+  totals and penalties, which couple every core, are recomputed on every
+  solve in reference order.  This is not a memo: nothing is keyed by
+  value, and a core drops its phase when it goes idle.
 * **memoized sampling costs** — sampling cost snapshots are pure
   functions of the sampling context and the phase's cache footprint and
-  are memoized per run in a bounded cache.  Contention rates are
-  recomputed on every event: jittered phase behaviors make their inputs
-  almost never recur, so a cache would not pay.
+  are memoized per run in a bounded cache.
 
 Every plain ``ServerSimulator(...)`` construction returns this engine;
 :class:`ReferenceSimulator` is the oracle the differential tests build
@@ -55,6 +65,7 @@ from repro.kernel.simulator import (
     SimResult,
     ServerSimulator,
     _CoreRun,
+    _DispatchView,
 )
 from repro.kernel.syscalls import next_rate_syscall_cycles
 from repro.kernel.task import TaskState
@@ -99,16 +110,26 @@ class _FastCoreRun(_CoreRun):
         "tot_l2_misses",
         "periods_sink",
         "adv",
-        "busy",
-        "rx",
+        "peers",
+        "dom",
+        "beh",
+        "press",
+        "solo",
+        "traffic",
+        "cpi",
+        "l2_refs_per_ins",
+        "l2_miss_ratio",
     )
 
-    def __init__(self, core_id: int, deadlines: np.ndarray):
+    def __init__(self, core_id: int, deadlines: np.ndarray, peers, dom):
         # The calendar column must exist before _CoreRun.__init__ assigns
         # the timer attributes (those writes go through the properties).
         self.cid = core_id
         self._dl = deadlines
         self.periods_sink = None
+        #: L2 peer core ids (l2_peers_of order) and bus domain.
+        self.peers = peers
+        self.dom = dom
         # Current stage's phase tuple, set at _switch_in and cleared with
         # the core: replaces the request.stages[i].phases[j] chain on the
         # per-event hot sites.  Sound because core.task is only assigned
@@ -119,10 +140,22 @@ class _FastCoreRun(_CoreRun):
         # rates: every mutation site is overridden here, so the mirrors
         # are authoritative during the run and synced back to the shared
         # CoreState when _run finishes (dataclass dict lookups are
-        # measurable at per-event frequency).
+        # measurable at per-event frequency).  busy_cycles takes exactly
+        # the additions total.cycles takes, in the same order, so
+        # tot_cycles mirrors both.
         self.adv = 0.0
-        self.busy = 0.0
-        self.rx = None
+        # The phase behavior the rates below were solved for (None: idle
+        # at the last solve, i.e. no rates), with its phase-only terms
+        # (cache pressure, solo CPI) and its contention triple (miss
+        # ratio, ref rate, bus traffic).  Overwritten when the core's
+        # phase changes and dropped at the first solve after it idles.
+        self.beh = None
+        self.press = 0.0
+        self.solo = 0.0
+        self.traffic = 0.0
+        self.cpi = 0.0
+        self.l2_refs_per_ins = 0.0
+        self.l2_miss_ratio = 0.0
         self.pc_cycles = 0.0
         self.pc_instructions = 0.0
         self.pc_l2_refs = 0.0
@@ -211,13 +244,21 @@ class FastpathSimulator(ServerSimulator):
         self._dl = deadlines
         self._dl_flat = deadlines.reshape(-1)
         self._ncores = ncores
-        self.cores = [_FastCoreRun(i, deadlines) for i in range(ncores)]
+        machine = self.machine
+        self.cores = [
+            _FastCoreRun(
+                i, deadlines, machine.l2_peers_of(i), machine.bus_domain_of(i)
+            )
+            for i in range(ncores)
+        ]
+        self._dispatch_view = _DispatchView(self.cores, self.runqueues)
         self._cost_memo_ik = {}
         self._cost_memo_int = {}
-        self._miss_penalty = self.machine.l2_miss_penalty_cycles
-        self._l2_peers = [self.machine.l2_peers_of(i) for i in range(ncores)]
-        self._bus_domains = [self.machine.bus_domain_of(i) for i in range(ncores)]
+        self._miss_penalty = machine.l2_miss_penalty_cycles
+        self._num_domains = machine.num_machines
+        self._cache = self.config.cache
         bus = self.config.bus
+        self._bus = bus
         self._bus_gamma = bus.contention_gamma
         self._bus_beta = bus.contention_beta
         self._bus_occ_clamp = (bus.machine_cores - 1) * bus.max_occupancy
@@ -319,16 +360,7 @@ class FastpathSimulator(ServerSimulator):
                     continue
                 break
 
-        for core in self.cores:
-            state = core.state
-            state.total = CounterSnapshot(
-                cycles=core.tot_cycles,
-                instructions=core.tot_instructions,
-                l2_refs=core.tot_l2_refs,
-                l2_misses=core.tot_l2_misses,
-            )
-            state.last_advance_cycle = core.adv
-            state.busy_cycles = core.busy
+        self._sync_core_states()
         if self.obs.enabled:
             self.obs.emit(
                 "run_end",
@@ -348,6 +380,26 @@ class FastpathSimulator(ServerSimulator):
             latency=self.latency,
             requests_shed=self._shed,
         )
+
+    def _sync_core_states(self) -> None:
+        """Write the slot mirrors back to each core's shared CoreState."""
+        for core in self.cores:
+            state = core.state
+            state.total = CounterSnapshot(
+                cycles=core.tot_cycles,
+                instructions=core.tot_instructions,
+                l2_refs=core.tot_l2_refs,
+                l2_misses=core.tot_l2_misses,
+            )
+            state.last_advance_cycle = core.adv
+            state.busy_cycles = core.tot_cycles
+            state.rates = (
+                None
+                if core.beh is None
+                else EffectiveRates(
+                    core.cpi, core.l2_refs_per_ins, core.l2_miss_ratio
+                )
+            )
 
     def _next_event(self):
         """Vectorized argmin over the deadline calendar.
@@ -370,6 +422,17 @@ class FastpathSimulator(ServerSimulator):
         row = index // self._ncores
         return float(t), index - row * self._ncores, _CALENDAR_KINDS[row]
 
+    def _account_timeline(self, t: float) -> None:
+        threshold = self.config.high_usage_mpi_threshold
+        count = 0
+        for core in self.cores:
+            if (
+                core.beh is not None
+                and core.l2_refs_per_ins * core.l2_miss_ratio > threshold
+            ):
+                count += 1
+        self._timeline[count] += t - self.now
+
     def _advance_all(self, t: float) -> None:
         # Scalar transcription of CoreState.advance + the period/task
         # bookkeeping: identical per-field operation order, no frozen
@@ -379,17 +442,15 @@ class FastpathSimulator(ServerSimulator):
             if elapsed <= 0.0:
                 continue
             core.adv = t
-            rates = core.rx
-            if rates is None:
+            if core.beh is None:
                 continue
-            instructions = elapsed / rates.cpi
-            refs = instructions * rates.l2_refs_per_ins
-            misses = refs * rates.l2_miss_ratio
+            instructions = elapsed / core.cpi
+            refs = instructions * core.l2_refs_per_ins
+            misses = refs * core.l2_miss_ratio
             core.tot_cycles += elapsed
             core.tot_instructions += instructions
             core.tot_l2_refs += refs
             core.tot_l2_misses += misses
-            core.busy += elapsed
             task = core.task
             if task is not None and instructions > 0:
                 core.pc_cycles += elapsed
@@ -421,7 +482,6 @@ class FastpathSimulator(ServerSimulator):
         core.tot_instructions += instructions
         core.tot_l2_refs += refs
         core.tot_l2_misses += misses
-        core.busy += cycles
         core.adv += cycles
         core.pc_cycles += cycles
         core.pc_instructions += instructions
@@ -437,25 +497,9 @@ class FastpathSimulator(ServerSimulator):
                 core.task, instructions, core.pc_l2_misses, cycles
             )
         # close_period drops no-activity periods; mirroring its test here
-        # skips the snapshot/record allocations for them entirely.
+        # skips the row (or record) for them entirely.
         if cycles > 0 or instructions > 0:
-            self.tracker.close_period(
-                core.task.request_id,
-                PeriodRecord(
-                    start_cycle=core.period_start,
-                    end_cycle=now,
-                    core=core.cid,
-                    counters=CounterSnapshot(
-                        cycles=cycles,
-                        instructions=instructions,
-                        l2_refs=core.pc_l2_refs,
-                        l2_misses=core.pc_l2_misses,
-                    ),
-                    injected_in_kernel=core.period_inj_ik,
-                    injected_interrupt=core.period_inj_int,
-                    closing_context=context,
-                ),
-            )
+            self._close_period(core, core.task, now, cycles, instructions, context)
         core.period_start = now
         core.pc_cycles = 0.0
         core.pc_instructions = 0.0
@@ -463,6 +507,33 @@ class FastpathSimulator(ServerSimulator):
         core.pc_l2_misses = 0.0
         core.period_inj_ik = 0
         core.period_inj_int = 0
+
+    def _close_period(self, core, task, now, cycles, instructions, context):
+        """Hand a kept period to the tracker: a direct row append when the
+        core has a sink, else a record through ``close_period`` (which
+        also emits ``period_sample`` to attached observers)."""
+        sink = core.periods_sink
+        if sink is not None:
+            sink.append((
+                core.period_start, now, core.cid, cycles, instructions,
+                core.pc_l2_refs, core.pc_l2_misses,
+                core.period_inj_ik, core.period_inj_int,
+            ))
+            return
+        self.tracker.close_period(
+            task.request_id,
+            PeriodRecord(
+                core.period_start,
+                now,
+                core.cid,
+                CounterSnapshot(
+                    cycles, instructions, core.pc_l2_refs, core.pc_l2_misses
+                ),
+                core.period_inj_ik,
+                core.period_inj_int,
+                context,
+            ),
+        )
 
     def _sample(self, core, context: SamplingContext) -> None:
         """The flattened per-sample hot path.
@@ -490,25 +561,17 @@ class FastpathSimulator(ServerSimulator):
         if self._scheduler_samples:
             self.scheduler.on_sample(task, instructions, core.pc_l2_misses, cycles)
         if cycles > 0 or instructions > 0:
-            # Positional construction: keyword packing is measurable at
-            # this call frequency.  Field order is pinned by the
-            # PeriodRecord / CounterSnapshot signatures.
-            record = PeriodRecord(
-                core.period_start,
-                now,
-                core.cid,
-                CounterSnapshot(
-                    cycles, instructions, core.pc_l2_refs, core.pc_l2_misses
-                ),
-                core.period_inj_ik,
-                core.period_inj_int,
-                context,
-            )
             sink = core.periods_sink
             if sink is None:
-                self.tracker.close_period(task.request_id, record)
+                self._close_period(core, task, now, cycles, instructions, context)
             else:
-                sink.append(record)
+                # Inlined _close_period sink branch: one flat row, fields
+                # in tracker.PERIOD_FIELDS order.
+                sink.append((
+                    core.period_start, now, core.cid, cycles, instructions,
+                    core.pc_l2_refs, core.pc_l2_misses,
+                    core.period_inj_ik, core.period_inj_int,
+                ))
         core.period_start = now
         # --- inlined SamplerStats.record(mandatory=False) + cost memo
         # (per-context dicts with plain float keys dodge the enum hash) ---
@@ -540,7 +603,6 @@ class FastpathSimulator(ServerSimulator):
         core.tot_instructions += cost_instructions
         core.tot_l2_refs += cost_refs
         core.tot_l2_misses += cost_misses
-        core.busy += cost_cycles
         last_advance = core.adv + cost_cycles
         core.adv = last_advance
         core.pc_cycles = cost_cycles
@@ -553,12 +615,11 @@ class FastpathSimulator(ServerSimulator):
         cid = core.cid
         delay = self._sampler_delay
         dl[_ROW_INTERRUPT, cid] = _INF if delay is None else now + delay
-        rates = core.rx
-        if rates is not None:
+        if core.beh is not None:
             remaining = phase.instructions - task.instructions_done_in_phase
             if remaining <= 0.0:
                 remaining = 0.0  # == max(0.0, remaining) bit-exactly
-            dl[_ROW_PHASE, cid] = last_advance + remaining * rates.cpi
+            dl[_ROW_PHASE, cid] = last_advance + remaining * core.cpi
             if self._wants_syscall:
                 self._reset_ratecall(core)
 
@@ -626,8 +687,9 @@ class FastpathSimulator(ServerSimulator):
     # ---------------------------------------------------------- dispatching
 
     def _clear_core(self, core) -> None:
-        core.state.rates = None
-        core.rx = None
+        # The rate slots go with the next solve (which follows every
+        # dispatch change before any core advances): it sees the core
+        # idle, drops its behavior and re-solves its L2 peers.
         core.periods_sink = None
         core.phases = None
         self._dl[:, core.cid] = _INF
@@ -716,111 +778,106 @@ class FastpathSimulator(ServerSimulator):
     # --------------------------------------------------------------- rates
 
     def _recompute_rates(self) -> None:
-        behaviors = {}
-        for core in self.cores:
-            task = core.task
-            if task is not None:
-                behaviors[core.cid] = core.phases[task.phase_index].behavior
-        rates = self._compute_rates(behaviors)
-        dl = self._dl
-        wants_syscall = self._wants_syscall
-        for core in self.cores:
-            r = rates[core.cid]
-            if r is not None:
-                core.state.rates = r
-                core.rx = r
-                # --- inlined _update_core_timers (task/rates non-None:
-                # r came from this core's current behavior) ---
-                task = core.task
-                phase = core.phases[task.phase_index]
-                remaining = max(
-                    0.0, phase.instructions - task.instructions_done_in_phase
-                )
-                dl[_ROW_PHASE, core.cid] = core.adv + remaining * r.cpi
-                if wants_syscall:
-                    self._reset_ratecall(core)
-            elif core.task is None:
-                core.state.rates = None
-                core.rx = None
+        """Re-solve contention for the dirty cores, then every penalty.
 
-    def _compute_rates(self, behaviors):
-        """Inlined :func:`~repro.hardware.cpu.compute_effective_rates`.
-
-        Bit-identical by construction: every accumulation (peer-pressure
-        sums, per-domain bus totals) runs in the reference's exact order
-        with the reference's exact start values, and the cache/bus model
-        methods are invoked with the same arguments.
+        The inlined :func:`~repro.hardware.cpu.compute_effective_rates`,
+        done incrementally.  A core's phase-only terms (cache pressure,
+        solo CPI) are recomputed only when its current phase behavior is
+        not the one it was last solved for; its contention triple (miss
+        ratio, ref rate, bus traffic) only when that holds for it or for
+        one of its L2 peers (a peer going idle counts).  Every other input
+        is unchanged, so the stored values are exactly what a full solve
+        would produce again.  A machine's memory bus couples all of its
+        cores, so bus totals, penalties and CPIs are recomputed on every
+        solve, summed per domain in ascending core order from ``0.0`` like
+        the reference.  Nothing is keyed by value: each core holds only the
+        phase it is running now.
         """
-        cache = self.config.cache
-        bus = self.config.bus
+        cores = self.cores
+        dirty = None
+        for core in cores:
+            task = core.task
+            beh = None if task is None else core.phases[task.phase_index].behavior
+            if beh is core.beh:
+                continue
+            core.beh = beh
+            if beh is not None:
+                core.press = phase_pressure(
+                    beh.l2_refs_per_ins, beh.base_cpi, beh.cache_footprint
+                )
+                core.solo = beh.solo_cpi(self._miss_penalty)
+            if dirty is None:
+                dirty = [False] * self._ncores
+            dirty[core.cid] = True
+            for peer in core.peers:
+                dirty[peer] = True
+
+        if dirty is not None:
+            cache = self._cache
+            bus = self._bus
+            for core in cores:
+                beh = core.beh
+                if beh is None or not dirty[core.cid]:
+                    continue
+                # sum() over the peer generator starts from int 0 and adds
+                # in l2_peers_of order; replicate both exactly.
+                co_pressure = 0
+                for peer in core.peers:
+                    other = cores[peer]
+                    if other.beh is not None:
+                        co_pressure = co_pressure + other.press
+                miss_ratio, ref_rate = cache.contend(
+                    beh.l2_miss_ratio,
+                    beh.cache_footprint,
+                    beh.l2_refs_per_ins,
+                    co_pressure,
+                )
+                core.l2_miss_ratio = miss_ratio
+                core.l2_refs_per_ins = ref_rate
+                core.traffic = bus.miss_traffic(ref_rate, miss_ratio, core.solo)
+
+        bus_totals = [0.0] * self._num_domains
+        for core in cores:
+            if core.beh is not None:
+                bus_totals[core.dom] = bus_totals[core.dom] + core.traffic
+
         penalty_base = self._miss_penalty
-
-        # cid-indexed lists (None/0.0 for idle cores): iteration below is
-        # always in ascending cid order — the reference's core order — so
-        # every float accumulation is performed in the identical sequence,
-        # and list indexing replaces per-event dict churn.
-        ncores = self._ncores
-        pressures = [None] * ncores
-        solo_cpis = [0.0] * ncores
-        for cid, behavior in behaviors.items():
-            pressures[cid] = phase_pressure(
-                behavior.l2_refs_per_ins,
-                behavior.base_cpi,
-                behavior.cache_footprint,
-            )
-            solo_cpis[cid] = behavior.solo_cpi(penalty_base)
-
-        contention = [None] * ncores
-        bus_totals = {}
-        for cid, behavior in behaviors.items():
-            # sum() over the peer generator starts from int 0 and adds in
-            # l2_peers_of order; replicate both exactly.
-            co_pressure = 0
-            for peer in self._l2_peers[cid]:
-                peer_pressure = pressures[peer]
-                if peer_pressure is not None:
-                    co_pressure = co_pressure + peer_pressure
-            miss_ratio = cache.effective_miss_ratio(
-                behavior.l2_miss_ratio, behavior.cache_footprint, co_pressure
-            )
-            ref_rate = cache.effective_ref_rate(
-                behavior.l2_refs_per_ins, co_pressure
-            )
-            traffic = bus.miss_traffic(ref_rate, miss_ratio, solo_cpis[cid])
-            contention[cid] = (miss_ratio, ref_rate, traffic)
-            domain = self._bus_domains[cid]
-            bus_totals[domain] = bus_totals.get(domain, 0.0) + traffic
-
         gamma = self._bus_gamma
         beta = self._bus_beta
         occ_clamp = self._bus_occ_clamp
-        rates = [None] * ncores
-        for cid, behavior in behaviors.items():
-            miss_ratio, ref_rate, traffic = contention[cid]
-            others = bus_totals[self._bus_domains[cid]] - traffic
+        dl = self._dl
+        wants_syscall = self._wants_syscall
+        for core in cores:
+            beh = core.beh
+            if beh is None:
+                continue
             # Inlined MemoryBusModel.effective_miss_penalty, op for op.
-            occupancy = max(0.0, others)
+            occupancy = max(0.0, bus_totals[core.dom] - core.traffic)
             occupancy = min(occupancy, occ_clamp)
             penalty = penalty_base * (
                 1.0 + gamma * occupancy + beta * occupancy**2
             )
-            rates[cid] = EffectiveRates(
-                cpi=behavior.base_cpi + penalty * ref_rate * miss_ratio,
-                l2_refs_per_ins=ref_rate,
-                l2_miss_ratio=miss_ratio,
+            cpi = beh.base_cpi + penalty * core.l2_refs_per_ins * core.l2_miss_ratio
+            core.cpi = cpi
+            # --- inlined _update_core_timers ---
+            task = core.task
+            phase = core.phases[task.phase_index]
+            remaining = max(
+                0.0, phase.instructions - task.instructions_done_in_phase
             )
-        return rates
+            dl[_ROW_PHASE, core.cid] = core.adv + remaining * cpi
+            if wants_syscall:
+                self._reset_ratecall(core)
 
     def _update_core_timers(self, core) -> None:
         task = core.task
-        rates = core.rx
-        if task is None or rates is None:
+        if task is None or core.beh is None:
             return
         phase = core.phases[task.phase_index]
         remaining = max(
             0.0, phase.instructions - task.instructions_done_in_phase
         )
-        self._dl[_ROW_PHASE, core.cid] = core.adv + remaining * rates.cpi
+        self._dl[_ROW_PHASE, core.cid] = core.adv + remaining * core.cpi
         # In non-syscall sampling modes the ratecall row is invariantly
         # inf (set by __init__/_clear_core; _reset_ratecall would only
         # rewrite inf), so the write is skipped entirely.
@@ -842,7 +899,7 @@ class FastpathSimulator(ServerSimulator):
             core.last_sample + self._t_syscall_min_cycles,
         )
         delay = next_rate_syscall_cycles(
-            self.rng, phase.syscall_rate_per_ins, core.rx.cpi
+            self.rng, phase.syscall_rate_per_ins, core.cpi
         )
         self._dl[_ROW_RATECALL, cid] = earliest + delay
 

@@ -205,25 +205,29 @@ class _CoreRun:
 
 
 class _DispatchView:
-    """Read-only queue-state window for dispatch policies."""
+    """Read-only queue-state window for dispatch policies.
 
-    __slots__ = ("_sim",)
+    Holds the simulator's core and runqueue lists, not the simulator: a
+    back-reference would make every simulator a reference cycle, freed
+    (with its traces) only when the cyclic collector happens to run.
+    """
 
-    def __init__(self, sim: "ServerSimulator"):
-        self._sim = sim
+    __slots__ = ("_cores", "_runqueues")
+
+    def __init__(self, cores: list, runqueues: list):
+        self._cores = cores
+        self._runqueues = runqueues
 
     def queue_depth(self, core_id: int) -> int:
-        sim = self._sim
-        running = 1 if sim.cores[core_id].task is not None else 0
-        return len(sim.runqueues[core_id]) + running
+        running = 1 if self._cores[core_id].task is not None else 0
+        return len(self._runqueues[core_id]) + running
 
     def outstanding_work(self, core_id: int) -> float:
-        sim = self._sim
         total = 0.0
-        task = sim.cores[core_id].task
+        task = self._cores[core_id].task
         if task is not None:
             total += task.remaining_in_stage
-        for queued in sim.runqueues[core_id]:
+        for queued in self._runqueues[core_id]:
             total += queued.remaining_in_stage
         return total
 
@@ -304,7 +308,7 @@ class ServerSimulator:
             traffic.dispatch if traffic else RoundRobinDispatchPolicy()
         )
         self.dispatch_policy.reset(config.seed)
-        self._dispatch_view = _DispatchView(self)
+        self._dispatch_view = _DispatchView(self.cores, self.runqueues)
         self.latency = (
             LatencyStore(self.machine.frequency_ghz) if traffic else None
         )

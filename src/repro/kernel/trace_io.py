@@ -17,11 +17,11 @@ the server.  Two encodings of the same per-request record:
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import List
 
 from repro.documents import canonical_json, read_document, read_jsonl
-from repro.hardware.counters import CounterSnapshot
-from repro.kernel.tracker import PeriodRecord, RequestTrace
+from repro.kernel.tracker import RequestTrace
 from repro.workloads.base import RequestSpec, Stage
 from repro.workloads.util import phase as make_phase
 
@@ -89,18 +89,12 @@ def trace_from_dict(data: dict) -> RequestTrace:
         ),
         metadata=dict(data.get("metadata", {})),
     )
-    periods = [
-        PeriodRecord(
-            start_cycle=start,
-            end_cycle=end,
-            core=core,
-            counters=CounterSnapshot(cycles, instructions, refs, misses),
-        )
-        for start, end, core, instructions, cycles, refs, misses in zip(
-            p["start"], p["end"], p["core"], p["instructions"],
-            p["cycles"], p["l2_refs"], p["l2_misses"],
-        )
-    ]
+    # Rows in PERIOD_FIELDS order; no samples were injected into stored
+    # counters (they are already compensated).
+    periods = list(zip(
+        p["start"], p["end"], p["core"], p["cycles"], p["instructions"],
+        p["l2_refs"], p["l2_misses"], repeat(0), repeat(0),
+    ))
     return RequestTrace(
         spec=spec,
         arrival_cycle=data["arrival_cycle"],

@@ -25,14 +25,30 @@ from repro.workloads.base import RequestSpec
 #: Metric names resolvable by :meth:`RequestTrace.series` and friends.
 METRICS = ("cpi", "l2_refs_per_ins", "l2_miss_per_ins", "l2_miss_ratio")
 
+#: Field order of a period *row*: the flat tuple an open request stores per
+#: kept execution period, and what :class:`RequestTrace` builds its arrays
+#: from.  :meth:`PeriodRecord.row` and the simulator's per-sample flush
+#: both write this order.
+PERIOD_FIELDS = (
+    "start",
+    "end",
+    "core",
+    "cycles",
+    "instructions",
+    "l2_refs",
+    "l2_misses",
+    "injected_in_kernel",
+    "injected_interrupt",
+)
+
 
 class PeriodRecord:
     """One execution period: counter deltas between consecutive samples.
 
-    A hand-written ``__slots__`` class (not a dataclass): the simulator
-    allocates one per flushed period on its hot path, and slotted
-    attribute storage is measurably cheaper than dict-backed instances.
-    The constructor signature is unchanged.
+    The reference event loop and the observer-attached fast path hand
+    these to :meth:`RequestTracker.close_period`, which stores each kept
+    period as a flat row (:meth:`row`); the fast path's direct flush
+    appends rows without building a record at all.
     """
 
     __slots__ = (
@@ -66,6 +82,21 @@ class PeriodRecord:
         #: What closed the period (None for the final flush at completion).
         self.closing_context = closing_context
 
+    def row(self) -> tuple:
+        """The period as a flat row in :data:`PERIOD_FIELDS` order."""
+        counters = self.counters
+        return (
+            self.start_cycle,
+            self.end_cycle,
+            self.core,
+            counters.cycles,
+            counters.instructions,
+            counters.l2_refs,
+            counters.l2_misses,
+            self.injected_in_kernel,
+            self.injected_interrupt,
+        )
+
     def __repr__(self) -> str:
         return (
             f"PeriodRecord(start_cycle={self.start_cycle!r}, "
@@ -78,14 +109,20 @@ class PeriodRecord:
 
 
 class RequestTrace:
-    """Serialized per-request counter timeline."""
+    """Serialized per-request counter timeline.
+
+    ``periods`` holds one row per execution period, fields in
+    :data:`PERIOD_FIELDS` order, in any order of start cycle: the arrays
+    are sorted on ``start`` with a stable sort, so equal starts keep their
+    append order.
+    """
 
     def __init__(
         self,
         spec: RequestSpec,
         arrival_cycle: float,
         completion_cycle: float,
-        periods: List[PeriodRecord],
+        periods: List[tuple],
         syscall_events: List[Tuple[float, str]],
         cost_model: Optional[SamplingCostModel],
         frequency_ghz: float,
@@ -98,17 +135,18 @@ class RequestTrace:
         self.syscall_events = list(syscall_events)
         self.frequency_ghz = frequency_ghz
 
-        order = np.argsort([p.start_cycle for p in periods], kind="stable")
-        periods = [periods[i] for i in order]
-        self.start = np.array([p.start_cycle for p in periods])
-        self.end = np.array([p.end_cycle for p in periods])
-        self.core = np.array([p.core for p in periods], dtype=int)
-        self.raw_instructions = np.array([p.counters.instructions for p in periods])
-        self.raw_cycles = np.array([p.counters.cycles for p in periods])
-        self.raw_l2_refs = np.array([p.counters.l2_refs for p in periods])
-        self.raw_l2_misses = np.array([p.counters.l2_misses for p in periods])
-        n_ik = np.array([p.injected_in_kernel for p in periods], dtype=float)
-        n_int = np.array([p.injected_interrupt for p in periods], dtype=float)
+        order = np.argsort([row[0] for row in periods], kind="stable")
+        (start, end, core, cycles, instructions, l2_refs, l2_misses,
+         inj_ik, inj_int) = zip(*[periods[i] for i in order])
+        self.start = np.array(start)
+        self.end = np.array(end)
+        self.core = np.array(core, dtype=int)
+        self.raw_instructions = np.array(instructions)
+        self.raw_cycles = np.array(cycles)
+        self.raw_l2_refs = np.array(l2_refs)
+        self.raw_l2_misses = np.array(l2_misses)
+        n_ik = np.array(inj_ik, dtype=float)
+        n_int = np.array(inj_int, dtype=float)
 
         if cost_model is None:
             self.instructions = self.raw_instructions.copy()
@@ -273,7 +311,8 @@ class _OpenRequest:
     def __init__(self, spec: RequestSpec, arrival_cycle: float):
         self.spec = spec
         self.arrival_cycle = arrival_cycle
-        self.periods: List[PeriodRecord] = []
+        #: Period rows, fields in :data:`PERIOD_FIELDS` order.
+        self.periods: List[tuple] = []
         self.syscalls: List[Tuple[float, str]] = []
 
 
@@ -314,11 +353,12 @@ class RequestTracker:
         return self._emit_period
 
     def period_sink(self, request_id: int) -> list:
-        """The open request's period list, for direct appends.
+        """The open request's period-row list, for direct appends.
 
-        The simulator fast path appends pre-filtered records here to skip
-        the per-sample dict lookup in :meth:`close_period`; only valid
-        while no ``period_sample`` observer is attached (see
+        The simulator fast path appends pre-filtered rows here, in
+        :data:`PERIOD_FIELDS` order, to skip the per-sample dict lookup and
+        record allocation of :meth:`close_period`; only valid while no
+        ``period_sample`` observer is attached (see
         :attr:`emits_period_samples`).
         """
         return self._open[request_id].periods
@@ -333,7 +373,7 @@ class RequestTracker:
         """
         if period.counters.cycles <= 0 and period.counters.instructions <= 0:
             return
-        self._open[request_id].periods.append(period)
+        self._open[request_id].periods.append(period.row())
         if self._emit_period:
             counters = period.counters
             self._obs.emit(

@@ -1,13 +1,18 @@
 """Integration tests for the server-system simulator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.hardware.platform import serial_machine
 from repro.kernel.contention import ContentionEasingScheduler
+from repro.kernel.fastpath import FastpathSimulator, ReferenceSimulator
 from repro.kernel.sampling import SamplingMode, SamplingPolicy
 from repro.kernel.scheduler import RoundRobinScheduler
 from repro.kernel.simulator import ServerSimulator, SimConfig, run_workload
+from repro.traffic import JoinShortestQueue, PoissonArrivals, TrafficConfig
 from repro.workloads.registry import make_workload
 
 from tests.conftest import run_small
@@ -232,3 +237,35 @@ class TestRunWorkload:
         result = ServerSimulator(make_workload("webserver"), config).run()
         assert len(result.traces) == 3
         assert np.all(np.array([t.core for t in result.traces[0:1]][0]) == 0)
+
+
+class TestNoReferenceCycles:
+    """A finished run is freed by reference counting alone.
+
+    A simulator caught in a reference cycle stays alive, with its result,
+    every trace and every stamped phase, until the cyclic collector happens
+    to run, so peak memory would depend on collector timing.
+    """
+
+    @pytest.mark.parametrize("sim_cls", [FastpathSimulator, ReferenceSimulator])
+    def test_simulator_and_traces_die_on_del(self, sim_cls):
+        # Join-shortest-queue reads the dispatch view, so the view is live.
+        config = SimConfig(
+            num_requests=20,
+            seed=1,
+            traffic=TrafficConfig(
+                arrivals=PoissonArrivals(5000.0), dispatch=JoinShortestQueue()
+            ),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            sim = sim_cls(make_workload("webserver"), config)
+            result = sim.run()
+            sim_ref = weakref.ref(sim)
+            trace_ref = weakref.ref(result.traces[0])
+            del sim, result
+            assert sim_ref() is None
+            assert trace_ref() is None
+        finally:
+            gc.enable()

@@ -5,7 +5,12 @@ import pytest
 
 from repro.hardware.counters import CounterSnapshot, SamplingContext, SamplingCostModel
 from repro.hardware.cpu import PhaseBehavior
-from repro.kernel.tracker import PeriodRecord, RequestTrace, RequestTracker
+from repro.kernel.tracker import (
+    PERIOD_FIELDS,
+    PeriodRecord,
+    RequestTrace,
+    RequestTracker,
+)
 from repro.workloads.base import Phase, RequestSpec, single_stage
 
 B = PhaseBehavior(1.0, 0.01, 0.2, 0.3)
@@ -39,7 +44,7 @@ def make_trace(periods, cost_model=None, syscalls=()):
         spec=make_spec(),
         arrival_cycle=0.0,
         completion_cycle=max(p.end_cycle for p in periods),
-        periods=periods,
+        periods=[p.row() for p in periods],
         syscall_events=list(syscalls),
         cost_model=cost_model,
         frequency_ghz=3.0,
@@ -80,6 +85,107 @@ class TestTracker:
         tracker.start_request(make_spec(), 0.0)
         with pytest.raises(ValueError):
             tracker.finish_request(0, 10.0)
+
+
+def sorted_records_arrays(records, cost_model):
+    """The arrays of the record-sorting constructor rows replaced."""
+    order = np.argsort([p.start_cycle for p in records], kind="stable")
+    records = [records[i] for i in order]
+    arrays = {
+        "start": np.array([p.start_cycle for p in records]),
+        "end": np.array([p.end_cycle for p in records]),
+        "core": np.array([p.core for p in records], dtype=int),
+        "raw_instructions": np.array([p.counters.instructions for p in records]),
+        "raw_cycles": np.array([p.counters.cycles for p in records]),
+        "raw_l2_refs": np.array([p.counters.l2_refs for p in records]),
+        "raw_l2_misses": np.array([p.counters.l2_misses for p in records]),
+    }
+    n_ik = np.array([p.injected_in_kernel for p in records], dtype=float)
+    n_int = np.array([p.injected_interrupt for p in records], dtype=float)
+    ik = cost_model.minimum_cost(SamplingContext.IN_KERNEL)
+    it = cost_model.minimum_cost(SamplingContext.INTERRUPT)
+    for name, field in (
+        ("instructions", "instructions"),
+        ("cycles", "cycles"),
+        ("l2_refs", "l2_refs"),
+        ("l2_misses", "l2_misses"),
+    ):
+        floor = 1.0 if name in ("instructions", "cycles") else 0.0
+        arrays[name] = np.maximum(
+            floor,
+            arrays["raw_" + name]
+            - n_ik * getattr(ik, field)
+            - n_int * getattr(it, field),
+        )
+    return arrays
+
+
+class TestPeriodRows:
+    # Out of start order, with a three-way and a two-way start tie whose
+    # members differ in every other field.
+    RECORDS = [
+        period(500.5, 900.25, core=2, cycles=400.0, ins=123.5, refs=7.25,
+               misses=1.5, inj_ik=1),
+        period(100.0, 300.0, core=1, cycles=200.0, ins=80.0, refs=3.0,
+               misses=0.5, inj_int=1),
+        period(100.0, 250.0, core=3, cycles=150.0, ins=60.25, refs=2.0,
+               misses=0.25, inj_ik=2),
+        period(0.0, 100.0, core=0, cycles=100.0, ins=40.0, refs=1.0,
+               misses=0.0, inj_int=3),
+        period(100.0, 400.0, core=0, cycles=300.0, ins=90.0, refs=4.5,
+               misses=1.0),
+        period(500.5, 600.0, core=1, cycles=99.5, ins=33.0, refs=0.5,
+               misses=0.125, inj_ik=1, inj_int=1),
+    ]
+
+    def test_row_field_order_is_pinned(self):
+        record = self.RECORDS[0]
+        row = dict(zip(PERIOD_FIELDS, record.row()))
+        assert row == {
+            "start": 500.5,
+            "end": 900.25,
+            "core": 2,
+            "cycles": 400.0,
+            "instructions": 123.5,
+            "l2_refs": 7.25,
+            "l2_misses": 1.5,
+            "injected_in_kernel": 1,
+            "injected_interrupt": 0,
+        }
+
+    def test_rows_build_the_record_sort_arrays(self):
+        model = SamplingCostModel()
+        trace = make_trace(list(self.RECORDS), cost_model=model)
+        expected = sorted_records_arrays(list(self.RECORDS), model)
+        for name, array in expected.items():
+            got = getattr(trace, name)
+            assert got.dtype == array.dtype, name
+            assert got.tobytes() == array.tobytes(), name
+
+    def test_equal_starts_keep_append_order(self):
+        trace = make_trace(list(self.RECORDS))
+        assert trace.start.tolist() == [0.0, 100.0, 100.0, 100.0, 500.5, 500.5]
+        # Ties stay in the order the rows were appended.
+        assert trace.core.tolist() == [0, 1, 3, 0, 2, 1]
+        assert trace.end.tolist() == [100.0, 300.0, 250.0, 400.0, 900.25, 600.0]
+
+    def test_sink_rows_and_closed_records_mix(self):
+        """Direct sink appends and close_period build one row list."""
+        tracker = RequestTracker(cost_model=SamplingCostModel(), frequency_ghz=3.0)
+        tracker.start_request(make_spec(), 0.0)
+        sink = tracker.period_sink(0)
+        for i, record in enumerate(self.RECORDS):
+            if i % 2:
+                sink.append(record.row())
+            else:
+                tracker.close_period(0, record)
+        trace = tracker.finish_request(0, 900.25)
+        expected = make_trace(list(self.RECORDS), cost_model=SamplingCostModel())
+        for name in ("start", "end", "core", "raw_cycles", "cycles",
+                     "instructions", "l2_refs", "l2_misses"):
+            assert getattr(trace, name).tobytes() == (
+                getattr(expected, name).tobytes()
+            ), name
 
 
 class TestTraceBasics:

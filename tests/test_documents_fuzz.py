@@ -52,7 +52,14 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-MISSING = object()
+class _Missing:
+    """Sentinel for "drop this field"; its repr keeps test ids stable."""
+
+    def __repr__(self):
+        return "MISSING"
+
+
+MISSING = _Missing()
 
 
 @dataclass
