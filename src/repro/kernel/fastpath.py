@@ -24,10 +24,12 @@ bit for bit.  The restructurings:
   slots per core (synced to ``CoreState.rates`` when the run ends).  A
   left-fold of per-field scalar adds performs the identical operation
   sequence, so the flushed period counters are bit-identical.
-* **periods as flat rows** — each sample appends one tuple in
-  :data:`~repro.kernel.tracker.PERIOD_FIELDS` order to the open request,
-  instead of a ``PeriodRecord`` plus a ``CounterSnapshot``; only runs with
-  a ``period_sample`` observer go through ``close_period``.
+* **periods as flat rows** — each sample extends the open request's
+  period list by one row in :data:`~repro.kernel.tracker.PERIOD_FIELDS`
+  order, instead of a ``PeriodRecord`` plus a ``CounterSnapshot``; runs
+  with a ``period_sample`` observer emit the event from the same row.
+  The tracker compacts a finished request's rows into a float64 column
+  store, and every trace is built from it in one pass when the run ends.
 * **batched event application** — runs of sampler events (interrupt
   samples, rate-based syscalls) cannot change dispatch, completion, or
   shedding state, so the inner loop drains them without re-entering the
@@ -69,7 +71,6 @@ from repro.kernel.simulator import (
 )
 from repro.kernel.syscalls import next_rate_syscall_cycles
 from repro.kernel.task import TaskState
-from repro.kernel.tracker import PeriodRecord
 
 #: Calendar rows in event-priority order; row index = priority - 1
 #: (arrivals, priority 0, live in the pending-arrival heap instead).
@@ -270,9 +271,7 @@ class FastpathSimulator(ServerSimulator):
         self._accepts_trigger = self.policy.trigger_acceptor()
         self._wants_syscall = self.policy.wants_syscall_events()
         self._argmin = self._dl_flat.argmin
-        # Direct period appends bypass close_period's per-sample lookup;
-        # only safe when no period_sample observer needs the emission.
-        self._direct_periods = not self.tracker.emits_period_samples
+        self._emit_period = self.tracker.emits_period_samples
         if self.policy.mode is SamplingMode.INTERRUPT:
             self._sampler_delay = self._interrupt_cycles
         elif self._wants_syscall:
@@ -360,6 +359,7 @@ class FastpathSimulator(ServerSimulator):
                     continue
                 break
 
+        self.traces = self.tracker.build_traces()
         self._sync_core_states()
         if self.obs.enabled:
             self.obs.emit(
@@ -497,9 +497,9 @@ class FastpathSimulator(ServerSimulator):
                 core.task, instructions, core.pc_l2_misses, cycles
             )
         # close_period drops no-activity periods; mirroring its test here
-        # skips the row (or record) for them entirely.
+        # skips the row for them entirely.
         if cycles > 0 or instructions > 0:
-            self._close_period(core, core.task, now, cycles, instructions, context)
+            self._close_period(core, core.task, now, cycles, instructions)
         core.period_start = now
         core.pc_cycles = 0.0
         core.pc_instructions = 0.0
@@ -508,32 +508,17 @@ class FastpathSimulator(ServerSimulator):
         core.period_inj_ik = 0
         core.period_inj_int = 0
 
-    def _close_period(self, core, task, now, cycles, instructions, context):
-        """Hand a kept period to the tracker: a direct row append when the
-        core has a sink, else a record through ``close_period`` (which
-        also emits ``period_sample`` to attached observers)."""
-        sink = core.periods_sink
-        if sink is not None:
-            sink.append((
-                core.period_start, now, core.cid, cycles, instructions,
-                core.pc_l2_refs, core.pc_l2_misses,
-                core.period_inj_ik, core.period_inj_int,
-            ))
-            return
-        self.tracker.close_period(
-            task.request_id,
-            PeriodRecord(
-                core.period_start,
-                now,
-                core.cid,
-                CounterSnapshot(
-                    cycles, instructions, core.pc_l2_refs, core.pc_l2_misses
-                ),
-                core.period_inj_ik,
-                core.period_inj_int,
-                context,
-            ),
+    def _close_period(self, core, task, now, cycles, instructions):
+        """Append a kept period's row to the open request (and emit it as
+        ``period_sample`` when an observer wants it)."""
+        row = (
+            core.period_start, now, core.cid, cycles, instructions,
+            core.pc_l2_refs, core.pc_l2_misses,
+            core.period_inj_ik, core.period_inj_int,
         )
+        core.periods_sink.extend(row)
+        if self._emit_period:
+            self.tracker.emit_period_sample(task.request_id, row)
 
     def _sample(self, core, context: SamplingContext) -> None:
         """The flattened per-sample hot path.
@@ -561,17 +546,16 @@ class FastpathSimulator(ServerSimulator):
         if self._scheduler_samples:
             self.scheduler.on_sample(task, instructions, core.pc_l2_misses, cycles)
         if cycles > 0 or instructions > 0:
-            sink = core.periods_sink
-            if sink is None:
-                self._close_period(core, task, now, cycles, instructions, context)
-            else:
-                # Inlined _close_period sink branch: one flat row, fields
-                # in tracker.PERIOD_FIELDS order.
-                sink.append((
-                    core.period_start, now, core.cid, cycles, instructions,
-                    core.pc_l2_refs, core.pc_l2_misses,
-                    core.period_inj_ik, core.period_inj_int,
-                ))
+            # Inlined _close_period: one flat row, fields in
+            # tracker.PERIOD_FIELDS order.
+            row = (
+                core.period_start, now, core.cid, cycles, instructions,
+                core.pc_l2_refs, core.pc_l2_misses,
+                core.period_inj_ik, core.period_inj_int,
+            )
+            core.periods_sink.extend(row)
+            if self._emit_period:
+                self.tracker.emit_period_sample(task.request_id, row)
         core.period_start = now
         # --- inlined SamplerStats.record(mandatory=False) + cost memo
         # (per-context dicts with plain float keys dodge the enum hash) ---
@@ -713,11 +697,7 @@ class FastpathSimulator(ServerSimulator):
             self.latency.on_start(task.request_id, self.now)
         task.state = TaskState.RUNNING
         core.task = task
-        core.periods_sink = (
-            self.tracker.period_sink(task.request_id)
-            if self._direct_periods
-            else None
-        )
+        core.periods_sink = self.tracker.period_sink(task.request_id)
         core.period_start = self.now
         core.pc_cycles = 0.0
         core.pc_instructions = 0.0

@@ -32,6 +32,7 @@ from repro.kernel.tracker import PeriodRecord, RequestTracker
 from repro.obs.profiling import active_profiler, profiled_stage
 from repro.obs.trace import NULL_COLLECTOR, TraceCollector
 from repro.traffic import (
+    DispatchPolicy,
     LatencyStore,
     PoissonArrivals,
     RoundRobinDispatch as RoundRobinDispatchPolicy,
@@ -283,6 +284,7 @@ class ServerSimulator:
         self.now = 0.0
         self.cores = [_CoreRun(i) for i in range(self.machine.num_cores)]
         self.runqueues: List[List[Task]] = [[] for _ in self.cores]
+        #: Finished requests' traces, built from the tracker when the run ends.
         self.traces: list = []
         self._admitted = 0
         self._completed = 0
@@ -308,6 +310,12 @@ class ServerSimulator:
             traffic.dispatch if traffic else RoundRobinDispatchPolicy()
         )
         self.dispatch_policy.reset(config.seed)
+        # Only a policy that learns from completions needs each request's
+        # CPU time mid-run; the traces themselves are built at run end.
+        self._observes_completion = (
+            type(self.dispatch_policy).observe_completion
+            is not DispatchPolicy.observe_completion
+        )
         self._dispatch_view = _DispatchView(self.cores, self.runqueues)
         self.latency = (
             LatencyStore(self.machine.frequency_ghz) if traffic else None
@@ -432,6 +440,7 @@ class ServerSimulator:
             handler = getattr(self, f"_on_{kind}")
             handler(core_id)
 
+        self.traces = self.tracker.build_traces()
         if self.obs.enabled:
             self.obs.emit(
                 "run_end",
@@ -759,14 +768,14 @@ class ServerSimulator:
     def _complete_request(self, core: _CoreRun, task: Task) -> None:
         self._switch_out(core, SamplingContext.IN_KERNEL)
         task.state = TaskState.DONE
-        trace = self.tracker.finish_request(task.request_id, self.now)
-        self.traces.append(trace)
+        periods, cpu_time_us = self.tracker.finish_request(
+            task.request_id, self.now, cpu_time=self._observes_completion
+        )
         self._completed += 1
         if self.latency is not None:
             self.latency.on_complete(task.request_id, self.now)
-        self.dispatch_policy.observe_completion(
-            task.request.kind, trace.cpu_time_us()
-        )
+        if cpu_time_us is not None:
+            self.dispatch_policy.observe_completion(task.request.kind, cpu_time_us)
         if self.obs.enabled:
             self.obs.emit(
                 "request_completed",
@@ -774,7 +783,7 @@ class ServerSimulator:
                 request_id=task.request_id,
                 task_id=task.task_id,
                 core=core.state.core_id,
-                periods=trace.num_periods,
+                periods=periods,
             )
         if not self._open_loop and self._admitted < self.config.num_requests:
             self._admit()

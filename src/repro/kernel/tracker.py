@@ -3,9 +3,18 @@
 A request does not execute continuously on one CPU: it is context-switched,
 and it propagates across server tiers through socket operations.  The
 tracker attributes every execution period (the counter deltas between two
-samples) to the owning request and, at completion, serializes the periods
-into a continuous request timeline (the paper's Section 2.1 mechanism,
-detailed in their prior work [27]).
+samples) to the owning request and serializes the periods into a
+continuous request timeline (the paper's Section 2.1 mechanism, detailed
+in their prior work [27]).
+
+Serialization is split in two.  At a request's completion its period rows
+move into one float64 column store for the run, and the tracker reports
+what mid-run consumers need (the period count, and the CPU time when asked,
+for which that one request is built at once).  When the run ends,
+:meth:`RequestTracker.build_traces` sorts, compensates and slices the whole
+store at once: one lexsort on (request, start), one compensation pass, one
+slice per request.  Those traces' arrays are views of the run's columns,
+so a retained trace keeps the columns alive.
 
 Traces carry both raw measured counters (including sampling observer-effect
 perturbation) and compensated counters where the known minimum per-sample
@@ -14,6 +23,7 @@ cost has been subtracted ("do no harm", Section 3.1).
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -25,7 +35,7 @@ from repro.workloads.base import RequestSpec
 #: Metric names resolvable by :meth:`RequestTrace.series` and friends.
 METRICS = ("cpi", "l2_refs_per_ins", "l2_miss_per_ins", "l2_miss_ratio")
 
-#: Field order of a period *row*: the flat tuple an open request stores per
+#: Field order of a period *row*: the values an open request stores per
 #: kept execution period, and what :class:`RequestTrace` builds its arrays
 #: from.  :meth:`PeriodRecord.row` and the simulator's per-sample flush
 #: both write this order.
@@ -45,10 +55,10 @@ PERIOD_FIELDS = (
 class PeriodRecord:
     """One execution period: counter deltas between consecutive samples.
 
-    The reference event loop and the observer-attached fast path hand
-    these to :meth:`RequestTracker.close_period`, which stores each kept
-    period as a flat row (:meth:`row`); the fast path's direct flush
-    appends rows without building a record at all.
+    The reference event loop hands these to
+    :meth:`RequestTracker.close_period`, which stores each kept period as
+    a flat row (:meth:`row`); the fast path appends rows without building
+    a record at all.
     """
 
     __slots__ = (
@@ -114,7 +124,9 @@ class RequestTrace:
     ``periods`` holds one row per execution period, fields in
     :data:`PERIOD_FIELDS` order, in any order of start cycle: the arrays
     are sorted on ``start`` with a stable sort, so equal starts keep their
-    append order.
+    append order.  The constructor and :meth:`RequestTracker.build_traces`
+    share one column builder; traces built for a whole run hold slices
+    (views) of that run's columns.
     """
 
     def __init__(
@@ -129,45 +141,23 @@ class RequestTrace:
     ):
         if not periods:
             raise ValueError(f"request {spec.request_id} produced no periods")
+        arrays = _assemble(
+            _typed_columns(zip(*periods)), [len(periods)], cost_model
+        )
+        self._bind(
+            spec, arrival_cycle, completion_cycle, list(syscall_events),
+            frequency_ghz, arrays, 0, len(periods),
+        )
+
+    def _bind(self, spec, arrival_cycle, completion_cycle, syscall_events,
+              frequency_ghz, arrays, lo, hi) -> None:
         self.spec = spec
         self.arrival_cycle = arrival_cycle
         self.completion_cycle = completion_cycle
-        self.syscall_events = list(syscall_events)
+        self.syscall_events = syscall_events
         self.frequency_ghz = frequency_ghz
-
-        order = np.argsort([row[0] for row in periods], kind="stable")
-        (start, end, core, cycles, instructions, l2_refs, l2_misses,
-         inj_ik, inj_int) = zip(*[periods[i] for i in order])
-        self.start = np.array(start)
-        self.end = np.array(end)
-        self.core = np.array(core, dtype=int)
-        self.raw_instructions = np.array(instructions)
-        self.raw_cycles = np.array(cycles)
-        self.raw_l2_refs = np.array(l2_refs)
-        self.raw_l2_misses = np.array(l2_misses)
-        n_ik = np.array(inj_ik, dtype=float)
-        n_int = np.array(inj_int, dtype=float)
-
-        if cost_model is None:
-            self.instructions = self.raw_instructions.copy()
-            self.cycles = self.raw_cycles.copy()
-            self.l2_refs = self.raw_l2_refs.copy()
-            self.l2_misses = self.raw_l2_misses.copy()
-        else:
-            ik = cost_model.minimum_cost(SamplingContext.IN_KERNEL)
-            it = cost_model.minimum_cost(SamplingContext.INTERRUPT)
-            self.instructions = np.maximum(
-                1.0, self.raw_instructions - n_ik * ik.instructions - n_int * it.instructions
-            )
-            self.cycles = np.maximum(
-                1.0, self.raw_cycles - n_ik * ik.cycles - n_int * it.cycles
-            )
-            self.l2_refs = np.maximum(
-                0.0, self.raw_l2_refs - n_ik * ik.l2_refs - n_int * it.l2_refs
-            )
-            self.l2_misses = np.maximum(
-                0.0, self.raw_l2_misses - n_ik * ik.l2_misses - n_int * it.l2_misses
-            )
+        for name, column in arrays.items():
+            setattr(self, name, column[lo:hi])
 
     # -- whole-request aggregates ------------------------------------------
 
@@ -305,19 +295,104 @@ class RequestTrace:
         return CounterSnapshot(**values)
 
 
+#: Trace array attribute and :data:`PERIOD_FIELDS` position of each raw
+#: column, in attribute order; the compensated counters follow.
+_RAW_ARRAYS = (
+    ("start", 0),
+    ("end", 1),
+    ("core", 2),
+    ("raw_instructions", 4),
+    ("raw_cycles", 3),
+    ("raw_l2_refs", 5),
+    ("raw_l2_misses", 6),
+)
+#: Compensated counters (``CounterSnapshot`` field names) and their floors.
+_COMPENSATED = (
+    ("instructions", 1.0),
+    ("cycles", 1.0),
+    ("l2_refs", 0.0),
+    ("l2_misses", 0.0),
+)
+_NUM_FIELDS = len(PERIOD_FIELDS)
+#: dtype of each period column: values keep numpy's inference (all-int
+#: start cycles give an int ``start``), the core is an int, injected-sample
+#: counts are floats.
+_COLUMN_DTYPES = (None, None, int, None, None, None, None, float, float)
+#: Row positions whose values the float64 store holds exactly as numpy
+#: infers them once the request's first row has a float there.
+_VALUE_FIELDS = (0, 1, 3, 4, 5, 6)
+
+
+def _typed_columns(columns) -> list:
+    """The nine period columns as arrays of their trace dtypes."""
+    return [
+        np.array(column, dtype=dtype)
+        for column, dtype in zip(columns, _COLUMN_DTYPES)
+    ]
+
+
+def _assemble(columns: list, counts, cost_model) -> Dict[str, np.ndarray]:
+    """Sort and compensate the period columns of consecutive requests.
+
+    ``columns`` are the nine period columns in :data:`PERIOD_FIELDS`
+    order (arrays, or float64 buffers); request ``i`` owns the next
+    ``counts[i]`` rows.  One stable lexsort on (request, start) orders
+    each request's rows by start cycle, ties in append order, and one
+    compensation pass covers every row.  Returns the run-wide trace
+    arrays by attribute name; request ``i``'s are the slice from
+    ``sum(counts[:i])``.  Each entry of ``columns`` is released as soon as
+    it is sorted, so a store is freed column by column.
+    """
+    order = np.lexsort(
+        (np.asarray(columns[0]), np.repeat(np.arange(len(counts)), counts))
+    )
+    arrays = {}
+    for name, field in _RAW_ARRAYS:
+        arrays[name] = np.asarray(columns[field])[order]
+        columns[field] = None
+    arrays["core"] = arrays["core"].astype(int, copy=False)
+    if cost_model is None:
+        for name, _ in _COMPENSATED:
+            arrays[name] = arrays["raw_" + name].copy()
+        return arrays
+    n_ik = np.asarray(columns[7])[order]
+    n_int = np.asarray(columns[8])[order]
+    columns[7] = columns[8] = order = None
+    ik = cost_model.minimum_cost(SamplingContext.IN_KERNEL)
+    it = cost_model.minimum_cost(SamplingContext.INTERRUPT)
+    for name, floor in _COMPENSATED:
+        arrays[name] = np.maximum(
+            floor,
+            arrays["raw_" + name]
+            - n_ik * getattr(ik, name)
+            - n_int * getattr(it, name),
+        )
+    return arrays
+
+
 class _OpenRequest:
     __slots__ = ("spec", "arrival_cycle", "periods", "syscalls")
 
     def __init__(self, spec: RequestSpec, arrival_cycle: float):
         self.spec = spec
         self.arrival_cycle = arrival_cycle
-        #: Period rows, fields in :data:`PERIOD_FIELDS` order.
-        self.periods: List[tuple] = []
+        #: Kept period rows, flattened: each row's fields in
+        #: :data:`PERIOD_FIELDS` order, one row after the other.
+        self.periods: list = []
         self.syscalls: List[Tuple[float, str]] = []
 
 
+def _new_store() -> list:
+    return [array("d") for _ in PERIOD_FIELDS]
+
+
 class RequestTracker:
-    """Attributes execution periods and syscalls to request contexts."""
+    """Attributes execution periods and syscalls to request contexts.
+
+    A finished request's period rows move into one float64 column store
+    for the run; :meth:`build_traces` turns the store into every trace at
+    once when the run ends.
+    """
 
     def __init__(
         self,
@@ -331,6 +406,12 @@ class RequestTracker:
         self._cost_model = cost_model if compensate else None
         self._frequency_ghz = frequency_ghz
         self._open: Dict[int, _OpenRequest] = {}
+        #: Period columns of the finished requests, in completion order.
+        self._store = _new_store()
+        #: Finished requests in completion order: ``(spec, arrival,
+        #: completion, syscalls, num_periods)`` for rows in the store, or a
+        #: trace built at completion (see :meth:`finish_request`).
+        self._finished: list = []
         self._obs = collector if collector is not None else NULL_COLLECTOR
         # Precomputed per-kind guards: a kind-filtered collector skips
         # even the keyword packing on the dense emission sites.
@@ -349,17 +430,17 @@ class RequestTracker:
 
     @property
     def emits_period_samples(self) -> bool:
-        """Whether :meth:`close_period` emits ``period_sample`` events."""
+        """Whether kept periods are emitted as ``period_sample`` events."""
         return self._emit_period
 
     def period_sink(self, request_id: int) -> list:
-        """The open request's period-row list, for direct appends.
+        """The open request's flattened period rows, for direct appends.
 
-        The simulator fast path appends pre-filtered rows here, in
-        :data:`PERIOD_FIELDS` order, to skip the per-sample dict lookup and
-        record allocation of :meth:`close_period`; only valid while no
-        ``period_sample`` observer is attached (see
-        :attr:`emits_period_samples`).
+        The simulator fast path extends it by one pre-filtered row per
+        kept period, fields in :data:`PERIOD_FIELDS` order, to skip the
+        per-sample dict lookup and record allocation of
+        :meth:`close_period`; it then hands the same row to
+        :meth:`emit_period_sample` when :attr:`emits_period_samples`.
         """
         return self._open[request_id].periods
 
@@ -367,40 +448,109 @@ class RequestTracker:
         """Attribute a finished execution period to its request.
 
         Periods with no measurable activity are dropped.  Kept periods are
-        also emitted as ``period_sample`` events carrying the raw counter
-        deltas plus injected-sample counts — the per-request sample stream
-        the online pipeline (:mod:`repro.online`) consumes.
+        also emitted as ``period_sample`` events (:meth:`emit_period_sample`).
         """
         if period.counters.cycles <= 0 and period.counters.instructions <= 0:
             return
-        self._open[request_id].periods.append(period.row())
+        row = period.row()
+        self._open[request_id].periods.extend(row)
         if self._emit_period:
-            counters = period.counters
-            self._obs.emit(
-                "period_sample",
-                period.end_cycle,
-                request_id=request_id,
-                core=period.core,
-                start_cycle=period.start_cycle,
-                instructions=counters.instructions,
-                cycles=counters.cycles,
-                l2_refs=counters.l2_refs,
-                l2_misses=counters.l2_misses,
-                injected_in_kernel=period.injected_in_kernel,
-                injected_interrupt=period.injected_interrupt,
-            )
+            self.emit_period_sample(request_id, row)
 
-    def finish_request(self, request_id: int, completion_cycle: float) -> RequestTrace:
-        open_req = self._open.pop(request_id)
-        return RequestTrace(
-            spec=open_req.spec,
-            arrival_cycle=open_req.arrival_cycle,
-            completion_cycle=completion_cycle,
-            periods=open_req.periods,
-            syscall_events=open_req.syscalls,
-            cost_model=self._cost_model,
-            frequency_ghz=self._frequency_ghz,
+    def emit_period_sample(self, request_id: int, row: tuple) -> None:
+        """Emit a kept period row as a ``period_sample`` event.
+
+        The event carries the raw counter deltas plus injected-sample
+        counts — the per-request sample stream the online pipeline
+        (:mod:`repro.online`) consumes.
+        """
+        (start, end, core, cycles, instructions, l2_refs, l2_misses,
+         injected_in_kernel, injected_interrupt) = row
+        self._obs.emit(
+            "period_sample",
+            end,
+            request_id=request_id,
+            core=core,
+            start_cycle=start,
+            instructions=instructions,
+            cycles=cycles,
+            l2_refs=l2_refs,
+            l2_misses=l2_misses,
+            injected_in_kernel=injected_in_kernel,
+            injected_interrupt=injected_interrupt,
         )
+
+    def finish_request(
+        self, request_id: int, completion_cycle: float, cpu_time: bool = False
+    ) -> Tuple[int, Optional[float]]:
+        """Close a request; its trace is built by :meth:`build_traces`.
+
+        Returns ``(num_periods, cpu_time_us)``.  The CPU time is the
+        trace's :meth:`RequestTrace.cpu_time_us`, computed only when
+        ``cpu_time`` is set (else None); such a request's trace is built
+        now rather than from the store.  A request without kept periods
+        raises here, at its completion.
+        """
+        open_req = self._open.pop(request_id)
+        flat = open_req.periods
+        count = len(flat) // _NUM_FIELDS
+        if not count:
+            raise ValueError(f"request {request_id} produced no periods")
+        # A float in each value field of the first row fixes those columns'
+        # inferred dtype to float64, which the store holds exactly.
+        exact = all(isinstance(flat[i], float) for i in _VALUE_FIELDS)
+        if exact and not cpu_time:
+            for i, store in enumerate(self._store):
+                store.fromlist(flat[i::_NUM_FIELDS])
+            self._finished.append((
+                open_req.spec, open_req.arrival_cycle, completion_cycle,
+                open_req.syscalls, count,
+            ))
+            return count, None
+        # Built now, through the same builder on this request alone: its
+        # CPU time is wanted mid-run, or its dtypes need numpy's inference.
+        trace = RequestTrace.__new__(RequestTrace)
+        trace._bind(
+            open_req.spec, open_req.arrival_cycle, completion_cycle,
+            open_req.syscalls, self._frequency_ghz,
+            _assemble(
+                _typed_columns(flat[i::_NUM_FIELDS] for i in range(_NUM_FIELDS)),
+                [count],
+                self._cost_model,
+            ),
+            0,
+            count,
+        )
+        self._finished.append(trace)
+        return count, trace.cpu_time_us() if cpu_time else None
+
+    def build_traces(self) -> List[RequestTrace]:
+        """Every finished request's trace, in completion order.
+
+        One lexsort, one compensation pass and one slice per request over
+        the whole store; each trace's arrays are views of the run-wide
+        columns.  The store and the finished list are emptied.
+        """
+        finished, self._finished = self._finished, []
+        store, self._store = self._store, _new_store()
+        counts = [entry[4] for entry in finished if type(entry) is tuple]
+        arrays = _assemble(store, counts, self._cost_model) if counts else None
+        del store
+        traces = []
+        lo = 0
+        for entry in finished:
+            if type(entry) is tuple:
+                spec, arrival_cycle, completion_cycle, syscalls, count = entry
+                trace = RequestTrace.__new__(RequestTrace)
+                trace._bind(
+                    spec, arrival_cycle, completion_cycle, syscalls,
+                    self._frequency_ghz, arrays, lo, lo + count,
+                )
+                lo += count
+            else:
+                trace = entry
+            traces.append(trace)
+        return traces
 
     @property
     def open_requests(self) -> int:

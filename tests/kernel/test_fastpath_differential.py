@@ -34,6 +34,7 @@ from repro.kernel.sampling import SamplingMode, SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.obs.trace import TraceCollector, events_to_jsonl
 from repro.traffic import (
+    ClassAwareDispatch,
     JoinShortestQueue,
     LeastOutstandingWork,
     OnOffArrivals,
@@ -210,8 +211,45 @@ class TestFaultedWorkloadGrid:
         )
 
 
+class _RecordingClassAware(ClassAwareDispatch):
+    """Class-aware dispatch that records each completion it is told of."""
+
+    def reset(self, seed: int) -> None:
+        super().reset(seed)
+        self.observed = []
+
+    def observe_completion(self, kind: str, cpu_time_us: float) -> None:
+        self.observed.append((kind, cpu_time_us))
+        super().observe_completion(kind, cpu_time_us)
+
+
 class TestTrafficLayer:
     """Open-loop arrivals, non-trivial dispatch, overload shedding."""
+
+    def test_class_aware_dispatch(self, gen_mode):
+        """The one policy that learns from completions: it reads each
+        request's CPU time mid-run, as the request completes."""
+        fast, ref = assert_identical(
+            "tpcc",
+            config_factory=lambda: {
+                "traffic": TrafficConfig(
+                    arrivals=PoissonArrivals(rate_per_s=8_000.0),
+                    dispatch=_RecordingClassAware(),
+                )
+            },
+            sampling=SAMPLING_POLICIES["interrupt"],
+            num_requests=40,
+            gen=gen_mode,
+        )
+        fast_seen = fast.config.traffic.dispatch.observed
+        ref_seen = ref.config.traffic.dispatch.observed
+        assert fast_seen == ref_seen
+        # Each value is the CPU time of that request's final trace.
+        assert fast_seen == [
+            (trace.spec.kind, trace.cpu_time_us()) for trace in fast.traces
+        ]
+        # The learned split must actually have placed requests by class.
+        assert len({kind for kind, _ in fast_seen}) >= 2
 
     def test_poisson_jsq_overload_sheds_identically(self, gen_mode):
         traffic = TrafficConfig(

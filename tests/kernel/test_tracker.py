@@ -59,10 +59,12 @@ class TestTracker:
         assert tracker.open_requests == 1
         tracker.record_syscall(0, 5.0, "read")
         tracker.close_period(0, period(0, 10))
-        trace = tracker.finish_request(0, 10.0)
+        assert tracker.finish_request(0, 10.0) == (1, None)
         assert tracker.open_requests == 0
+        (trace,) = tracker.build_traces()
         assert trace.num_periods == 1
         assert trace.syscall_events == [(5.0, "read")]
+        assert tracker.build_traces() == []
 
     def test_duplicate_request_rejected(self):
         tracker = RequestTracker(cost_model=None, frequency_ghz=3.0)
@@ -77,13 +79,14 @@ class TestTracker:
             0, PeriodRecord(0, 0, 0, CounterSnapshot())
         )
         tracker.close_period(0, period(0, 10))
-        trace = tracker.finish_request(0, 10.0)
+        assert tracker.finish_request(0, 10.0) == (1, None)
+        (trace,) = tracker.build_traces()
         assert trace.num_periods == 1
 
     def test_no_periods_raises(self):
         tracker = RequestTracker(cost_model=None, frequency_ghz=3.0)
         tracker.start_request(make_spec(), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="request 0 produced no periods"):
             tracker.finish_request(0, 10.0)
 
 
@@ -176,10 +179,11 @@ class TestPeriodRows:
         sink = tracker.period_sink(0)
         for i, record in enumerate(self.RECORDS):
             if i % 2:
-                sink.append(record.row())
+                sink.extend(record.row())
             else:
                 tracker.close_period(0, record)
-        trace = tracker.finish_request(0, 900.25)
+        tracker.finish_request(0, 900.25)
+        (trace,) = tracker.build_traces()
         expected = make_trace(list(self.RECORDS), cost_model=SamplingCostModel())
         for name in ("start", "end", "core", "raw_cycles", "cycles",
                      "instructions", "l2_refs", "l2_misses"):

@@ -8,16 +8,22 @@ returns the batched generators of :mod:`repro.workloads.genfast`, and
 kernels.  The references those engines replaced stay in ``src/`` and
 nothing selects them at run time; tests build them from here and demand
 byte-identical output.
+
+:func:`reference_trace_arrays` is the per-request trace construction
+that :class:`~repro.kernel.tracker.RequestTrace` and the tracker's
+run-wide build replaced; it lives only here.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.core.distengine import DistanceEngine
 from repro.faults.schedule import ScheduledFaultWorkload, parse_fault_schedule
+from repro.hardware.counters import SamplingContext
 from repro.kernel.fastpath import ReferenceSimulator
 from repro.kernel.simulator import ServerSimulator
 from repro.workloads import registry
@@ -79,3 +85,50 @@ def reference_engines():
             DistanceEngine, "_compute_batched", lambda self, *args: None
         )
         yield
+
+
+def reference_trace_arrays(periods, cost_model) -> dict:
+    """One request's trace arrays, built from its rows on their own.
+
+    ``periods`` are rows in :data:`~repro.kernel.tracker.PERIOD_FIELDS`
+    order, in append order.  A stable argsort on start, nine ``np.array``
+    calls and a compensation pass, exactly as each completion used to run
+    them.
+    """
+    order = np.argsort([row[0] for row in periods], kind="stable")
+    (start, end, core, cycles, instructions, l2_refs, l2_misses,
+     inj_ik, inj_int) = zip(*[periods[i] for i in order])
+    arrays = {
+        "start": np.array(start),
+        "end": np.array(end),
+        "core": np.array(core, dtype=int),
+        "raw_instructions": np.array(instructions),
+        "raw_cycles": np.array(cycles),
+        "raw_l2_refs": np.array(l2_refs),
+        "raw_l2_misses": np.array(l2_misses),
+    }
+    n_ik = np.array(inj_ik, dtype=float)
+    n_int = np.array(inj_int, dtype=float)
+    if cost_model is None:
+        for name in ("instructions", "cycles", "l2_refs", "l2_misses"):
+            arrays[name] = arrays["raw_" + name].copy()
+        return arrays
+    ik = cost_model.minimum_cost(SamplingContext.IN_KERNEL)
+    it = cost_model.minimum_cost(SamplingContext.INTERRUPT)
+    arrays["instructions"] = np.maximum(
+        1.0,
+        arrays["raw_instructions"]
+        - n_ik * ik.instructions
+        - n_int * it.instructions,
+    )
+    arrays["cycles"] = np.maximum(
+        1.0, arrays["raw_cycles"] - n_ik * ik.cycles - n_int * it.cycles
+    )
+    arrays["l2_refs"] = np.maximum(
+        0.0, arrays["raw_l2_refs"] - n_ik * ik.l2_refs - n_int * it.l2_refs
+    )
+    arrays["l2_misses"] = np.maximum(
+        0.0,
+        arrays["raw_l2_misses"] - n_ik * ik.l2_misses - n_int * it.l2_misses,
+    )
+    return arrays
