@@ -14,10 +14,18 @@ under DTW with asynchrony penalty — computed three ways:
   vectorization win alone).
 
 Every path must return identical argmin indices and bit-identical best
-distances.  The >= 3x speedup assertion is hardware-gated (needs >= 2
-usable CPUs to rule out pathologically throttled machines); otherwise
-the measured ratio is reported and the assertion skips.  Run directly
-for a readable report:
+distances.
+
+A second, classify-shaped case builds the all-pairs matrix of 50 series
+of 8-120 windows plus one 500-window series through `DistanceEngine`
+(the pair planner and block body) and through the serial double loop.
+The matrices must be byte-identical, and the plan may compute at most
+2x the real DP cells — a count that does not depend on the hardware.
+
+The >= 3x speedup assertions are hardware-gated (need >= 2 usable CPUs
+to rule out pathologically throttled machines); otherwise the measured
+ratio is reported and the assertion skips.  Run directly for a readable
+report:
 
     PYTHONPATH=src python benchmarks/bench_dtw_kernels.py
 """
@@ -30,13 +38,23 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.distengine import DistanceEngine
 from repro.core.dtw import dtw_distance
-from repro.core.kernels import PenaltyDtw, argmin_distance, dtw_one_to_many
+from repro.core.kernels import (
+    PenaltyDtw,
+    argmin_distance,
+    dtw_one_to_many,
+    plan_pair_blocks,
+)
 
 BANK_SIZE = 120
 N_QUERIES = 40
 PENALTY = 0.4
 MIN_SPEEDUP = 3.0
+#: Classify-shaped matrix: short series plus one long outlier.
+N_SHORT = 50
+LONG_WINDOWS = 500
+MAX_PADDED_RATIO = 2.0
 
 
 def usable_cpus() -> int:
@@ -113,9 +131,70 @@ def run_benchmark():
     }
 
 
+def classify_shaped_series(seed: int = 9):
+    """50 series of 8-120 windows and one of 500, the long one placed
+    mid-list so it is both the first and the second operand of pairs."""
+    rng = np.random.default_rng(seed)
+    lengths = [int(v) for v in rng.integers(8, 121, size=N_SHORT)]
+    lengths.insert(N_SHORT // 2, LONG_WINDOWS)
+    return [
+        1.8 + np.cumsum(rng.normal(0.0, 0.08, size=n)) + rng.normal(0.0, 0.15, size=n)
+        for n in lengths
+    ]
+
+
+def planned_cells(items):
+    """(planned, real) DP cells of the engine's symmetric matrix plan."""
+    lengths = np.array([len(x) for x in items])
+    first, second = np.triu_indices(len(items), 1)
+    m, n = lengths[first], lengths[second]
+    planned = sum(int((m[b] * n[b].max()).sum()) for b in plan_pair_blocks(m, n))
+    return planned, int((m * n).sum())
+
+
+def serial_matrix(items):
+    matrix = np.zeros((len(items), len(items)))
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            matrix[i, j] = matrix[j, i] = dtw_distance(
+                items[i], items[j], asynchrony_penalty=PENALTY
+            )
+    return matrix
+
+
+def run_matrix_benchmark():
+    items = classify_shaped_series()
+    engine, t_engine = timed(
+        lambda: DistanceEngine(jobs=1).matrix(items, PenaltyDtw(PENALTY))
+    )
+    serial, t_serial = timed(lambda: serial_matrix(items))
+    planned, real = planned_cells(items)
+    return {
+        "identical": engine.tobytes() == serial.tobytes(),
+        "t_engine": t_engine,
+        "t_serial": t_serial,
+        "planned_cells": planned,
+        "real_cells": real,
+        "n_pairs": len(items) * (len(items) - 1) // 2,
+    }
+
+
+def require_cpus(speedup: float) -> None:
+    if usable_cpus() < 2:
+        pytest.skip(
+            f"only {usable_cpus()} usable CPU(s); measured speedup "
+            f"{speedup:.2f}x (assertion needs >= 2 CPUs)"
+        )
+
+
 @pytest.fixture(scope="module")
 def report():
     return run_benchmark()
+
+
+@pytest.fixture(scope="module")
+def matrix_report():
+    return run_matrix_benchmark()
 
 
 class TestDtwKernelBench:
@@ -127,13 +206,25 @@ class TestDtwKernelBench:
 
     def test_pruned_speedup(self, report):
         speedup = report["t_naive"] / report["t_pruned"]
-        if usable_cpus() < 2:
-            pytest.skip(
-                f"only {usable_cpus()} usable CPU(s); measured speedup "
-                f"{speedup:.2f}x (assertion needs >= 2 CPUs)"
-            )
+        require_cpus(speedup)
         assert speedup >= MIN_SPEEDUP, (
             f"pruned NN speedup {speedup:.2f}x below {MIN_SPEEDUP:.0f}x"
+        )
+
+
+class TestClassifyShapedMatrix:
+    def test_engine_matrix_identical_to_serial_loop(self, matrix_report):
+        assert matrix_report["identical"]
+
+    def test_planned_padding_at_most_twice_real_cells(self, matrix_report):
+        ratio = matrix_report["planned_cells"] / matrix_report["real_cells"]
+        assert ratio <= MAX_PADDED_RATIO, f"plan pads {ratio:.2f}x the real cells"
+
+    def test_matrix_speedup(self, matrix_report):
+        speedup = matrix_report["t_serial"] / matrix_report["t_engine"]
+        require_cpus(speedup)
+        assert speedup >= MIN_SPEEDUP, (
+            f"engine matrix speedup {speedup:.2f}x below {MIN_SPEEDUP:.0f}x"
         )
 
 
@@ -155,6 +246,21 @@ def main() -> None:
         f"({r['t_naive'] / r['t_batched']:.2f}x vs naive)"
     )
     print(f"  argmins + distances identical: {identical}")
+    r = run_matrix_benchmark()
+    print(
+        f"classify-shaped matrix: {N_SHORT} series of 8-120 windows + one of "
+        f"{LONG_WINDOWS} = {r['n_pairs']} pairs, p={PENALTY}"
+    )
+    print(f"  serial double loop     {r['t_serial']:8.2f} s")
+    print(
+        f"  engine (planned blocks){r['t_engine']:8.2f} s "
+        f"({r['t_serial'] / r['t_engine']:.2f}x vs serial)"
+    )
+    print(
+        f"  planned DP cells       {r['planned_cells']:>10,} "
+        f"({r['planned_cells'] / r['real_cells']:.2f}x the {r['real_cells']:,} real)"
+    )
+    print(f"  matrix identical: {r['identical']}")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ distances per application and measure.  This module centralizes that work:
 * :class:`DistanceEngine` computes dense matrices, explicit pair lists,
   and one-to-many sweeps, optionally fanning the pair computations out to
   a :class:`~concurrent.futures.ProcessPoolExecutor` in index chunks;
-  batchable measures (:class:`~repro.core.kernels.PenaltyDtw`) are
-  instead routed through the vectorized one-vs-many kernel in index
-  blocks — no per-pair Python dispatch at all;
+  batchable measures (:class:`~repro.core.kernels.PenaltyDtw`) instead
+  hand the whole pair list to the kernel's length-class planner and
+  vectorized pair body — no per-pair Python dispatch at all;
 * :class:`DistanceCache` memoizes distances keyed by *content* (a stable
   hash of both operands plus a caller-supplied distance key), optionally
   persisted as JSON under ``results/.cache/`` so repeated experiments and
@@ -21,8 +21,8 @@ chunked parallel execution performs exactly the same arithmetic as the
 serial loop and the assembled matrix is bit-identical to it (given a
 deterministic distance callable).  There is no cross-pair reduction whose
 order could differ.  The batched kernel path is likewise bit-identical:
-per bank row the vectorized DP performs exactly the serial DP's
-elementwise operations (see :mod:`repro.core.kernels`).
+per pair the vectorized DP performs exactly the serial DP's elementwise
+operations (see :mod:`repro.core.kernels`).
 
 Parallel execution uses the ``fork`` start method so non-picklable
 distance callables (the experiments use parameter-capturing lambdas) and
@@ -396,27 +396,18 @@ class DistanceEngine:
         pairs: List[Tuple[int, int]],
         distance: Callable,
     ) -> Optional[List[float]]:
-        """Block-batched evaluation for batchable kernels, or None.
+        """Batched evaluation for batchable kernels, or None.
 
-        Pairs are grouped by their first index; each group becomes one
-        vectorized one-vs-many DP over a padded bank of the second
-        operands.  Bit-identical to the per-pair loop, and fast enough
+        The whole pair list goes to the kernel's pair planner, which
+        blocks pairs by the length class of their second operand so no
+        block pads far past its members.  Bit-identical to the per-pair loop, and fast enough
         that it is preferred over the process pool whenever available.
         """
         from repro.core.kernels import PenaltyDtw
 
-        if not isinstance(distance, PenaltyDtw) or len(pairs) < 2:
+        if not isinstance(distance, PenaltyDtw):
             return None
-        groups: Dict[int, List[Tuple[int, int]]] = {}
-        for idx, (i, j) in enumerate(pairs):
-            groups.setdefault(i, []).append((idx, j))
-        values: List[float] = [0.0] * len(pairs)
-        for i, entries in groups.items():
-            bank = distance.bank([items_b[j] for _, j in entries])
-            distances = distance.one_to_many(items_a[i], bank)
-            for (idx, _), value in zip(entries, distances):
-                values[idx] = float(value)
-        return values
+        return distance.pair_distances(items_a, items_b, pairs).tolist()
 
     def _compute_parallel(
         self,

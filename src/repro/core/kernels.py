@@ -16,10 +16,13 @@ between those consumers and the O(m*n) DP:
   check — every warp path crosses every row, and DP values along a path
   never decrease, so once a row's minimum exceeds a best-so-far cutoff
   the final distance provably does too;
-* **batched one-vs-many DP** (:func:`dtw_one_to_many`): the same row
-  recurrence run vectorized across a zero-padded bank of sequences
-  (:class:`PaddedBank`), turning ``B`` interpreter-dispatched DPs into
-  one sweep of 2-D numpy rows;
+* **the pair body** (:func:`_dtw_block`): the same row recurrence run
+  vectorized over a block of ``(x, y)`` pairs, so ``B`` DPs cost one
+  sweep of 2-D numpy rows instead of ``B`` interpreter-dispatched loops;
+  :func:`plan_pair_blocks` groups pairs by the length class of ``y`` so
+  no block pads far past its members, and :func:`dtw_pairs` (pair
+  lists), :func:`dtw_one_to_many` (one query against a bank) and
+  :func:`dtw_distance_pruned` (one pair) all run on it;
 * **pruned nearest neighbor** (:func:`argmin_distance`): candidates
   ordered by lower bound, batched DPs with the best-so-far distance
   threaded through as the abandon cutoff;
@@ -33,11 +36,11 @@ Exact-pruning semantics
 -----------------------
 
 All pruned/batched paths return results *bit-identical* to the serial
-reference DP wherever they return a distance at all: the batched
-recurrence performs exactly the same IEEE-754 operations per bank row as
-the serial one (``cumsum`` and ``minimum.accumulate`` are sequential
-along the last axis), and abandonment uses strict ``>`` against the
-cutoff, so a distance equal to the cutoff is always computed exactly.
+reference DP wherever they return a distance at all: the pair body
+performs exactly the same IEEE-754 operations per pair as the serial
+one (``cumsum`` and ``minimum.accumulate`` are sequential along the last
+axis), and abandonment uses strict ``>`` against the cutoff, so a
+distance equal to the cutoff is always computed exactly.
 
 One floating-point subtlety: the unrolled prefix-min recurrence shared
 with :mod:`repro.core.dtw` computes each cell as ``(entry - prefix) +
@@ -54,8 +57,9 @@ nearest-neighbor argmins (including first-minimum tie-breaking) and the
 returned best distances are identical to a naive full scan.
 
 :class:`~repro.core.distengine.DistanceEngine` always routes
-:class:`PenaltyDtw` matrices through the batched kernels; the per-pair
-serial DP stays the oracle the tests compare them against.
+:class:`PenaltyDtw` matrices through :func:`dtw_pairs`; the serial
+:func:`repro.core.dtw.dtw_distance` stays the oracle the tests compare
+the body against.
 """
 
 from __future__ import annotations
@@ -73,9 +77,11 @@ __all__ = [
     "argmin_distance",
     "dtw_distance_pruned",
     "dtw_one_to_many",
+    "dtw_pairs",
     "l1_prefix_distances",
     "lb_one_to_many",
     "lb_penalty_dtw",
+    "plan_pair_blocks",
 ]
 
 class PaddedBank:
@@ -214,52 +220,207 @@ def dtw_distance_pruned(
     if x.size == 0 or y.size == 0:
         raise ValueError("empty sequence")
     p = float(asynchrony_penalty)
-    n = y.size
-    js = np.arange(1, n)
     threshold = cutoff
     if np.isfinite(cutoff):
         max_abs = max(float(np.abs(x).max()), float(np.abs(y).max()))
-        threshold = cutoff + _drift_margin(x.size, n, max_abs, p)
-
-    row = np.empty(n)
-    row[0] = abs(x[0] - y[0])
-    if n > 1:
-        row[1:] = row[0] + np.cumsum(np.abs(x[0] - y[1:]) + p)
-
-    for i in range(1, x.size):
-        if row.min() > threshold:
-            return float("inf")
-        cost = np.abs(x[i] - y)
-        new_row = np.empty(n)
-        new_row[0] = row[0] + cost[0] + p
-        if n > 1:
-            entry = np.minimum(row[:-1], row[1:] + p)
-            prefix_cost = np.cumsum(cost)
-            offsets = np.minimum.accumulate(entry - prefix_cost[:-1] - js * p)
-            anchor = new_row[0] - prefix_cost[0]
-            new_row[1:] = prefix_cost[1:] + js * p + np.minimum(anchor, offsets)
-        row = new_row
-    distance = float(row[-1])
-    return distance if distance <= cutoff else float("inf")
+        threshold = cutoff + _drift_margin(x.size, y.size, max_abs, p)
+    distances = _dtw_block(
+        x, np.zeros(1, dtype=np.intp), np.array([x.size]),
+        y[None, :], np.array([y.size]), p, cutoff, threshold,
+    )
+    return float(distances[0])
 
 
-# -- batched one-vs-many DP -------------------------------------------------
+# -- the penalty-DTW body over a block of pairs ------------------------------
+
+#: Most cells (pairs x width) one block's DP row may hold.  A block keeps
+#: six arrays of that shape (its padded y rows and five DP buffers), so
+#: this bounds its memory to about 0.8 MB whatever the pair list; a block
+#: exceeds it only when it holds a single pair.  (2**16 ran no faster
+#: and left more of the buffers resident; see docs/perf.md.)
+BLOCK_CELLS = 1 << 14
+
+#: Cells of DP work that cost about as much as the fixed interpreter
+#: overhead of one DP row (about 20 us against about 20 ns per cell on
+#: x86-64 with numpy 2).  The planner merges a length class into the next
+#: wider one when the padding this adds is fewer cells than the rows it
+#: saves are worth.  It shapes the plan only; distances never depend on it.
+ROW_CELLS = 1024
+
+
+def _dtw_block(
+    x, x_at, m, y, n, p: float, cutoff: float = np.inf, threshold: float = np.inf
+) -> np.ndarray:
+    """Penalty-DTW of a block of ``(x, y)`` pairs in one vectorized sweep.
+
+    Pair ``b``'s x sequence is ``x[x_at[b] : x_at[b] + m[b]]``, with the
+    lengths ``m`` non-increasing; its y sequence is the zero-padded row
+    ``y[b]`` of length ``n[b]``.  DP row ``i`` updates only the pairs
+    whose x is longer than ``i`` — a prefix of the block — so differing x
+    lengths cost no padding.  Each answer is read at column ``n[b] - 1``
+    of the pair's last row, which y padding cannot reach: column ``j`` of
+    the recurrence depends only on columns ``<= j``.
+
+    Per pair the body performs exactly the IEEE-754 operations of
+    :func:`repro.core.dtw.dtw_distance` (``cumsum`` and
+    ``minimum.accumulate`` run sequentially along the last axis), so every
+    distance is bit-identical to it.  With a finite ``cutoff``, a pair is
+    abandoned (reported ``inf``) once its row minimum exceeds
+    ``threshold``, or at the end if its distance exceeds ``cutoff``; once
+    no more than half the live pairs survive, the sweep compacts to them.
+    The minimum runs over padding columns too, which only lowers it, so
+    abandoning stays conservative.
+    """
+    live, width = y.shape
+    check = cutoff < np.inf
+    out = np.full(live, np.inf)
+    at = np.arange(live)  # block position of each live pair
+    jp = np.arange(1, width) * p
+
+    # Row 0: only asynchronous steps along y.
+    cost = np.abs(x[x_at][:, None] - y)
+    row = np.empty_like(cost)
+    row[:, 0] = cost[:, 0]
+    if width > 1:
+        row[:, 1:] = row[:, :1] + np.cumsum(cost[:, 1:] + p, axis=1)
+    following = np.empty_like(row)
+    prefix = np.empty_like(row)
+    entry = np.empty((live, width - 1))
+
+    def finish(ended: int) -> None:
+        finals = row[np.arange(ended, live), n[ended:] - 1]
+        if check:
+            finals = np.where(finals <= cutoff, finals, np.inf)
+        out[at[ended:]] = finals
+
+    for i in range(1, int(m[0])):
+        ended = live
+        while ended and m[ended - 1] <= i:
+            ended -= 1
+        if ended < live:  # these pairs' x sequences ended at row i - 1
+            finish(ended)
+            if not ended:
+                return out
+            live = ended
+            at, x_at, m, n, y = at[:live], x_at[:live], m[:live], n[:live], y[:live]
+            row, following = row[:live], following[:live]
+            cost, prefix, entry = cost[:live], prefix[:live], entry[:live]
+        if check:
+            alive = row.min(axis=1) <= threshold
+            if not alive.any():
+                return out
+            if alive.sum() * 2 <= live:
+                live = int(alive.sum())
+                at, x_at, m, n, y = at[alive], x_at[alive], m[alive], n[alive], y[alive]
+                row, following = row[alive], following[:live]
+                cost, prefix, entry = cost[:live], prefix[:live], entry[:live]
+        np.subtract(x[x_at + i][:, None], y, out=cost)
+        np.abs(cost, out=cost)
+        np.add(row[:, 0], cost[:, 0], out=following[:, 0])
+        following[:, 0] += p  # asynchronous step along x
+        if width > 1:
+            # Entry values A[j]: arrive diagonally or vertically.  The
+            # prefix sum is the accumulate np.cumsum runs, called directly.
+            np.add.accumulate(cost, axis=1, out=prefix)
+            np.add(row[:, 1:], p, out=entry)
+            np.minimum(row[:, :-1], entry, out=entry)
+            entry -= prefix[:, :-1]
+            entry -= jp
+            np.minimum.accumulate(entry, axis=1, out=entry)
+            anchor = following[:, 0] - prefix[:, 0]
+            np.minimum(anchor[:, None], entry, out=entry)
+            np.add(prefix[:, 1:], jp, out=following[:, 1:])
+            following[:, 1:] += entry
+        row, following = following, row
+    finish(0)
+    return out
+
+
+def plan_pair_blocks(m, n) -> List[np.ndarray]:
+    """Split pairs with x lengths ``m`` and y lengths ``n`` into blocks.
+
+    Pairs are grouped by the length class of their y sequence, the
+    octave ``[2**c, 2**(c + 1))`` holding it, so a group pads a y
+    sequence by less than 2x.  Going up from the narrowest, a group
+    joins the next wider one when the padding cells that costs are fewer
+    than :data:`ROW_CELLS` per DP row it saves (a merged block sweeps the
+    longer of the two x lengths once, not both).  Each group is ordered
+    by x length, longest first (stable), and cut so a block's pairs times
+    its width stay within :data:`BLOCK_CELLS`.  The x length needs no
+    class of its own: the body drops a pair from the sweep once its x
+    sequence ends.  Every pair position appears in exactly one block, and
+    the plan depends only on the lengths.
+    """
+    m = np.asarray(m, dtype=np.intp)
+    n = np.asarray(n, dtype=np.intp)
+    if not m.size:
+        return []
+    classes = np.frexp(n)[1]  # exact floor(log2(n)) + 1
+    order = np.argsort(classes, kind="stable")
+    cuts = np.flatnonzero(np.diff(classes[order])) + 1
+    groups: List[np.ndarray] = []
+    for group in np.split(order, cuts):
+        if groups:
+            narrow = groups[-1]
+            padding = int(m[narrow].sum()) * int(n[group].max() - n[narrow].max())
+            saved = min(int(m[narrow].max()), int(m[group].max()))
+            if padding < ROW_CELLS * saved:
+                groups[-1] = np.concatenate((narrow, group))
+                continue
+        groups.append(group)
+    blocks = []
+    for group in groups:
+        group = group[np.argsort(-m[group], kind="stable")]
+        rows = max(1, BLOCK_CELLS // int(n[group].max()))
+        blocks += [group[s : s + rows] for s in range(0, group.size, rows)]
+    return blocks
+
+
+def dtw_pairs(items_a, items_b, pairs, asynchrony_penalty: float = 0.0) -> np.ndarray:
+    """``dtw_distance(items_a[i], items_b[j])`` for every ``(i, j)`` in ``pairs``.
+
+    The pairs run through :func:`plan_pair_blocks` and the block body, so
+    a long sequence widens only the blocks of its own length class.  Each
+    distance is bit-identical to the serial DP; duplicate pairs and
+    ``(i, i)`` pairs are computed like any other.
+    """
+    if asynchrony_penalty < 0:
+        raise ValueError("asynchrony_penalty must be non-negative")
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    out = np.empty(len(pairs))
+    if not len(pairs):
+        return out
+    used_a, rows_a = np.unique(pairs[:, 0], return_inverse=True)
+    used_b, rows_b = np.unique(pairs[:, 1], return_inverse=True)
+    bank_a = PaddedBank([items_a[i] for i in used_a])
+    bank_b = PaddedBank([items_b[j] for j in used_b])
+    x = bank_a.matrix.ravel()
+    x_at = rows_a * bank_a.matrix.shape[1]
+    m = bank_a.lengths[rows_a]
+    n = bank_b.lengths[rows_b]
+    p = float(asynchrony_penalty)
+    for block in plan_pair_blocks(m, n):
+        y = bank_b.matrix[rows_b[block], : n[block].max()]
+        out[block] = _dtw_block(x, x_at[block], m[block], y, n[block], p)
+    return out
 
 
 def dtw_one_to_many(
     query, bank, asynchrony_penalty: float = 0.0, cutoff: float = np.inf
 ) -> np.ndarray:
-    """Penalty-DTW of ``query`` against every bank row in one batched DP.
+    """Penalty-DTW of ``query`` against every bank row, batched.
 
-    The row recurrence of :func:`repro.core.dtw.dtw_distance` runs over a
-    ``(B, L)`` matrix — one vectorized pass per query element instead of
-    ``B`` interpreter-dispatched DPs.  Per bank row the operations are
-    elementwise identical to the serial DP, so returned distances are
+    The bank rows are split into blocks by :func:`plan_pair_blocks`, each
+    trimmed to its longest row, and every block runs the pair body with
+    the query shared by all its pairs — one vectorized pass per query
+    element instead of one DP per row.  Returned distances are
     bit-identical to ``dtw_distance(query, bank[b])``.
 
     With a finite ``cutoff``, rows whose running DP minimum exceeds it
-    are abandoned exactly (reported as ``inf``); once fewer than half the
-    rows survive, the batch is compacted to the survivors.
+    are abandoned exactly (reported as ``inf``); once no more than half a
+    block's rows survive, the block is compacted to the survivors.  The
+    rounding slack is taken over the bank's full width, so trimming a
+    block never makes pruning less conservative.
     """
     if asynchrony_penalty < 0:
         raise ValueError("asynchrony_penalty must be non-negative")
@@ -268,64 +429,19 @@ def dtw_one_to_many(
     if x.size == 0:
         raise ValueError("empty sequence")
     p = float(asynchrony_penalty)
-    matrix = bank.matrix
-    lengths = bank.lengths
-    n = matrix.shape[1]
-    js = np.arange(1, n)
-    jp = js * p
-    check = np.isfinite(cutoff)
-    threshold = cutoff
-    if check:
-        max_abs = max(
-            float(np.abs(x).max()), float(np.abs(matrix).max())
-        )
-        threshold = cutoff + _drift_margin(x.size, n, max_abs, p)
-
-    out = np.full(len(bank), np.inf)
-    active = np.arange(len(bank))
-
-    # Row 0: only asynchronous steps along the bank sequences.
-    cost = np.abs(x[0] - matrix)
-    row = np.empty_like(cost)
-    row[:, 0] = cost[:, 0]
-    if n > 1:
-        row[:, 1:] = row[:, :1] + np.cumsum(cost[:, 1:] + p, axis=1)
-
-    for i in range(1, x.size):
-        if check:
-            # Conservative exact abandon: the minimum over *all* columns
-            # (padding included) is <= the minimum over valid columns,
-            # which is <= the final distance up to rounding drift; the
-            # threshold slack keeps every candidate whose *computed*
-            # distance could still land <= cutoff.
-            alive = row.min(axis=1) <= threshold
-            if not alive.any():
-                return out
-            if alive.sum() * 2 <= active.size:
-                active = active[alive]
-                row = row[alive]
-                matrix = matrix[alive]
-        cost = np.abs(x[i] - matrix)
-        new_row = np.empty_like(cost)
-        new_row[:, 0] = row[:, 0] + cost[:, 0] + p
-        if n > 1:
-            entry = np.minimum(row[:, :-1], row[:, 1:] + p)
-            prefix_cost = np.cumsum(cost, axis=1)
-            offsets = np.minimum.accumulate(
-                entry - prefix_cost[:, :-1] - jp, axis=1
-            )
-            anchor = new_row[:, 0] - prefix_cost[:, 0]
-            new_row[:, 1:] = (
-                prefix_cost[:, 1:] + jp + np.minimum(anchor[:, None], offsets)
-            )
-        row = new_row
-
-    finals = row[np.arange(active.size), lengths[active] - 1]
-    if check:
-        keep = finals <= cutoff
-        out[active[keep]] = finals[keep]
+    threshold = np.inf
+    if np.isfinite(cutoff):
+        max_abs = max(float(np.abs(x).max()), float(np.abs(bank.matrix).max()))
+        threshold = cutoff + _drift_margin(x.size, bank.matrix.shape[1], max_abs, p)
     else:
-        out[active] = finals
+        cutoff = np.inf  # any non-finite cutoff prunes nothing
+    m = np.full(len(bank), x.size)
+    x_at = np.zeros(len(bank), dtype=np.intp)
+    out = np.empty(len(bank))
+    for block in plan_pair_blocks(m, bank.lengths):
+        n = bank.lengths[block]
+        y = bank.matrix[block, : n.max()]
+        out[block] = _dtw_block(x, x_at[block], m[block], y, n, p, cutoff, threshold)
     return out
 
 
@@ -388,8 +504,8 @@ class PenaltyDtw:
     :func:`repro.core.dtw.dtw_distance`) that additionally exposes the
     batched and pruned entry points.  The
     :class:`~repro.core.distengine.DistanceEngine` recognizes instances
-    and routes matrix / pair-list / one-to-many computations through
-    :meth:`one_to_many` in index blocks instead of per-pair Python calls
+    and hands matrix / pair-list / one-to-many computations to
+    :meth:`pair_distances` instead of per-pair Python calls
     (bit-identical results; see module docstring).
     """
 
@@ -419,6 +535,9 @@ class PenaltyDtw:
 
     def one_to_many(self, query, bank, cutoff: float = np.inf) -> np.ndarray:
         return dtw_one_to_many(query, bank, self.penalty, cutoff=cutoff)
+
+    def pair_distances(self, items_a, items_b, pairs) -> np.ndarray:
+        return dtw_pairs(items_a, items_b, pairs, self.penalty)
 
     def argmin(self, query, bank, block_size: int = 32) -> Tuple[int, float]:
         return argmin_distance(query, bank, self.penalty, block_size=block_size)

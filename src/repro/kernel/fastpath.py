@@ -488,7 +488,7 @@ class FastpathSimulator(ServerSimulator):
         core.pc_l2_refs += refs
         core.pc_l2_misses += misses
 
-    def _flush_period(self, core, context) -> None:
+    def _flush_period(self, core) -> None:
         now = self.now
         cycles = core.pc_cycles
         instructions = core.pc_instructions

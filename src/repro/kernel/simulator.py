@@ -913,7 +913,7 @@ class ServerSimulator:
                 core=core.state.core_id,
                 context=context.value if context is not None else None,
             )
-        self._flush_period(core, context)
+        self._flush_period(core)
         task.state = TaskState.READY
         core.task = None
         core.state.set_rates(None)
@@ -921,7 +921,7 @@ class ServerSimulator:
 
     # ------------------------------------------------------------ sampling
 
-    def _flush_period(self, core: _CoreRun, context: Optional[SamplingContext]) -> None:
+    def _flush_period(self, core: _CoreRun) -> None:
         counters = core.period_counters
         self.scheduler.on_sample(
             core.task, counters.instructions, counters.l2_misses, counters.cycles
@@ -935,7 +935,6 @@ class ServerSimulator:
                 counters=counters,
                 injected_in_kernel=core.period_inj_ik,
                 injected_interrupt=core.period_inj_int,
-                closing_context=context,
             ),
         )
         core.period_start = self.now
@@ -955,7 +954,7 @@ class ServerSimulator:
                 core=core.state.core_id,
                 context=context.value,
             )
-        self._flush_period(core, context)
+        self._flush_period(core)
         self.stats.record(context, mandatory=False)
         cost = self.config.cost_model.cost(
             context, task.current_phase.behavior.cache_footprint

@@ -68,7 +68,6 @@ class PeriodRecord:
         "counters",
         "injected_in_kernel",
         "injected_interrupt",
-        "closing_context",
     )
 
     def __init__(
@@ -79,7 +78,6 @@ class PeriodRecord:
         counters: CounterSnapshot,
         injected_in_kernel: int = 0,
         injected_interrupt: int = 0,
-        closing_context: Optional[SamplingContext] = None,
     ):
         self.start_cycle = start_cycle
         self.end_cycle = end_cycle
@@ -89,8 +87,6 @@ class PeriodRecord:
         #: this period, by sampling context.
         self.injected_in_kernel = injected_in_kernel
         self.injected_interrupt = injected_interrupt
-        #: What closed the period (None for the final flush at completion).
-        self.closing_context = closing_context
 
     def row(self) -> tuple:
         """The period as a flat row in :data:`PERIOD_FIELDS` order."""
@@ -113,8 +109,7 @@ class PeriodRecord:
             f"end_cycle={self.end_cycle!r}, core={self.core!r}, "
             f"counters={self.counters!r}, "
             f"injected_in_kernel={self.injected_in_kernel!r}, "
-            f"injected_interrupt={self.injected_interrupt!r}, "
-            f"closing_context={self.closing_context!r})"
+            f"injected_interrupt={self.injected_interrupt!r})"
         )
 
 

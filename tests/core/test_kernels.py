@@ -9,7 +9,10 @@ The exactness contracts under test (see :mod:`repro.core.kernels`):
   dtw_distance` wherever they return a finite distance;
 * :func:`argmin_distance` returns exactly what a naive full scan with
   ``np.argmin`` returns — index (first-minimum tie-breaking included)
-  and distance.
+  and distance;
+* the pair planner covers every pair exactly once within its cell cap,
+  and the pair body it feeds is byte-identical to per-pair
+  :func:`repro.core.dtw.dtw_distance` whatever the plan looks like.
 """
 
 import numpy as np
@@ -17,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distengine import DistanceEngine
+from repro.core import kernels
+from repro.core.distengine import DistanceCache, DistanceEngine
 from repro.core.dtw import dtw_distance
 from repro.core.kernels import (
     PaddedBank,
@@ -26,9 +30,11 @@ from repro.core.kernels import (
     argmin_distance,
     dtw_distance_pruned,
     dtw_one_to_many,
+    dtw_pairs,
     l1_prefix_distances,
     lb_one_to_many,
     lb_penalty_dtw,
+    plan_pair_blocks,
 )
 
 value_lists = st.lists(
@@ -54,6 +60,31 @@ def dtw_reference(x, y, p):
                 d[i - 1][j - 1], d[i - 1][j] + p, d[i][j - 1] + p
             )
     return float(d[m - 1][n - 1])
+
+
+@st.composite
+def ragged_series(draw, max_items=10):
+    """1-60-long random series, now and then with one 300-500 long."""
+    lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=max_items))
+    if draw(st.integers(0, 3)) == 0:
+        lengths[draw(st.integers(0, len(lengths) - 1))] = draw(st.integers(300, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [rng.normal(2.0, 1.0, size=length) for length in lengths]
+
+
+penalties_or_zero = st.one_of(st.just(0.0), penalties)
+#: Cell caps from one pair per block up to the shipped cap, and merge
+#: weights that never merge, merge as shipped, and always merge.
+plan_shapes = st.tuples(
+    st.sampled_from([1, 64, 700, kernels.BLOCK_CELLS]),
+    st.sampled_from([0, kernels.ROW_CELLS, 10**9]),
+)
+
+
+def serial_pairs(items_a, items_b, pairs, p):
+    return np.array(
+        [dtw_distance(items_a[i], items_b[j], asynchrony_penalty=p) for i, j in pairs]
+    )
 
 
 def random_bank(rng, n_rows=30, min_len=3, max_len=40):
@@ -169,6 +200,100 @@ class TestBatchedOneToMany:
             assert got == (true if true <= cutoff else np.inf)
 
 
+class TestPairBody:
+    @given(ragged_series(), ragged_series(), penalties_or_zero, plan_shapes, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_byte_identical_to_serial(self, items_a, items_b, p, shape, data):
+        index_a = st.integers(0, len(items_a) - 1)
+        index_b = st.integers(0, len(items_b) - 1)
+        pairs = data.draw(
+            st.lists(st.tuples(index_a, index_b), min_size=1, max_size=40)
+        )
+        # Duplicate pairs and (i, i) pairs are planned like any other.
+        pairs += [pairs[0], (0, 0)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "BLOCK_CELLS", shape[0])
+            patch.setattr(kernels, "ROW_CELLS", shape[1])
+            got = dtw_pairs(items_a, items_b, pairs, p)
+        assert got.tobytes() == serial_pairs(items_a, items_b, pairs, p).tobytes()
+
+    @given(ragged_series(max_items=8), penalties_or_zero)
+    @settings(max_examples=25, deadline=None)
+    def test_ordered_engine_matrix_keeps_direction(self, items, p):
+        # symmetric=False plans (i, j) and (j, i) as two different pairs.
+        got = DistanceEngine().matrix(items, PenaltyDtw(p), symmetric=False)
+        pairs = [(i, j) for i in range(len(items)) for j in range(len(items)) if i != j]
+        expected = np.zeros((len(items), len(items)))
+        for (i, j), value in zip(pairs, serial_pairs(items, items, pairs, p)):
+            expected[i, j] = value
+        assert got.tobytes() == expected.tobytes()
+
+    def test_empty_pair_list(self):
+        assert dtw_pairs([[1.0]], [[1.0]], [], 0.5).size == 0
+
+    def test_negative_penalty_rejected(self):
+        with pytest.raises(ValueError):
+            dtw_pairs([[1.0]], [[1.0]], [(0, 0)], -1.0)
+
+
+class TestPlanner:
+    @given(
+        st.lists(st.tuples(st.integers(1, 600), st.integers(1, 600)), max_size=80),
+        plan_shapes,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_pair_once_within_cap(self, lengths, shape):
+        m = np.array([a for a, _ in lengths], dtype=np.intp)
+        n = np.array([b for _, b in lengths], dtype=np.intp)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "BLOCK_CELLS", shape[0])
+            patch.setattr(kernels, "ROW_CELLS", shape[1])
+            blocks = plan_pair_blocks(m, n)
+        planned = np.concatenate(blocks) if blocks else np.array([], dtype=np.intp)
+        assert np.array_equal(np.sort(planned), np.arange(len(lengths)))
+        for block in blocks:
+            assert block.size == 1 or block.size * n[block].max() <= shape[0]
+            assert np.all(np.diff(m[block]) <= 0)  # x lengths non-increasing
+
+    def test_long_rows_do_not_widen_short_ones(self):
+        # Fifty pairs against a 500-long series and fifty against short
+        # ones: no short pair is padded to the long width.
+        m = np.array([20] * 50 + [30] * 50)
+        n = np.array([10] * 50 + [500] * 50)
+        blocks = plan_pair_blocks(m, n)
+        planned = sum(int((m[b] * n[b].max()).sum()) for b in blocks)
+        assert planned == int((m * n).sum())
+
+
+class TestEngineCache:
+    @given(ragged_series(max_items=9), penalties_or_zero, st.integers(0, 9))
+    @settings(max_examples=25, deadline=None)
+    def test_partly_warm_matrix_computes_only_missing_pairs(self, items, p, warm):
+        warm = min(warm, len(items))
+
+        class Counting(PenaltyDtw):
+            computed = 0
+
+            def pair_distances(self, items_a, items_b, pairs):
+                type(self).computed += len(pairs)
+                return super().pair_distances(items_a, items_b, pairs)
+
+        engine = DistanceEngine(cache=DistanceCache())
+        measure = Counting(p)
+        engine.matrix(items[:warm], measure, distance_key=measure.distance_key)
+        Counting.computed = 0
+        got = engine.matrix(items, measure, distance_key=measure.distance_key)
+        n = len(items)
+        assert Counting.computed == n * (n - 1) // 2 - warm * (warm - 1) // 2
+        expected = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected[i, j] = expected[j, i] = dtw_distance(
+                    items[i], items[j], asynchrony_penalty=p
+                )
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestArgminDistance:
     @given(value_lists, banks, penalties)
     @settings(max_examples=80, deadline=None)
@@ -194,6 +319,31 @@ class TestArgminDistance:
         )
         assert index == int(np.argmin(naive))
         assert distance == naive[index]
+
+    @given(ragged_series(), ragged_series(max_items=4), penalties_or_zero, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ragged_bank_with_ties_matches_naive_scan(self, rows, queries, p, data):
+        # Repeat some rows so first-minimum tie-breaking is exercised.
+        extra = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+        rows = rows + [rows[k] for k in extra]
+        bank = PaddedBank(rows)
+        for query in queries + [rows[extra[0]]] if extra else queries:
+            naive = serial_pairs([query], rows, [(0, j) for j in range(len(rows))], p)
+            index, distance = argmin_distance(query, bank, p)
+            assert index == int(np.argmin(naive))
+            assert distance == naive[index]
+
+    @given(
+        ragged_series(), ragged_series(max_items=3), penalties_or_zero, st.floats(0, 1)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_to_many_cutoff_on_ragged_bank(self, rows, queries, p, quantile):
+        for query in queries:
+            true = serial_pairs([query], rows, [(0, j) for j in range(len(rows))], p)
+            cutoff = float(np.quantile(true, quantile))
+            got = dtw_one_to_many(query, PaddedBank(rows), p, cutoff=cutoff)
+            expected = np.where(true <= cutoff, true, np.inf)
+            assert got.tobytes() == expected.tobytes()
 
     def test_tie_returns_first_index(self):
         # Rows 1 and 3 are identical, both at distance zero from the query.

@@ -47,9 +47,9 @@ class _CountingDtw(PenaltyDtw):
 
     batched = 0
 
-    def one_to_many(self, *args, **kwargs):
+    def pair_distances(self, *args, **kwargs):
         type(self).batched += 1
-        return super().one_to_many(*args, **kwargs)
+        return super().pair_distances(*args, **kwargs)
 
 
 def _engines():
